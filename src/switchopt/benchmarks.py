@@ -102,7 +102,6 @@ def build_fuller(config: FullerConfig = FullerConfig()):
         state_names=("y1", "y2", "running_cost"),
         rhs_stack=rhs_stack,
         combined_jac_state=combined_jac_state,
-        combined_jac_control=lambda t, y, u, weights: np.zeros((3, 0)),
     )
     spec = CombinatorialSpec.uniform(1, dwell_intervals(config.tau_min, grid))
     return system, grid, spec

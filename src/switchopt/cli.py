@@ -119,8 +119,15 @@ def _load_problem(config: RunConfig):
             n_time_steps=config.n_intervals,
             tau_min=config.tau_min,
         ))
-    raw = yaml.safe_load(Path(config.problem_file).read_text())
+    raw = _read_yaml(config.problem_file, "problem file")
     return build_translines(_translines_config_from_dict(raw))
+
+
+def _read_yaml(path: str, what: str):
+    try:
+        return yaml.safe_load(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigurationError(f"cannot load {what} {path}: {exc}") from exc
 
 
 def _translines_config_from_dict(raw: dict) -> TranslinesConfig:
@@ -202,7 +209,6 @@ def _execute(config: RunConfig, system, grid, spec):
             rho_final=run.rho_final, extras=extras,
         )
     res = global_oracle(system, grid, spec)
-    u, _ = (res.best_u, None) if res.best_u is not None else (None, None)
     u_path = (
         ContinuousControlPath(grid, res.best_u, system.control_lower, system.control_upper)
         if res.best_u is not None
@@ -454,14 +460,25 @@ _FLAG_TO_FIELD = {
     "seed": "seed", "out": "output_path", "problem_file": "problem_file",
 }
 
+_FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
 
 def _config_from_args(args) -> RunConfig:
     config = RunConfig()
     if args.config:
-        raw = yaml.safe_load(Path(args.config).read_text()) or {}
+        raw = _read_yaml(args.config, "config file") or {}
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config file {args.config} must hold a mapping")
         for key, value in raw.items():
-            if not hasattr(config, key):
+            if key not in _FIELD_DEFAULTS:
                 raise ConfigurationError(f"unknown config key {key!r}")
+            default = _FIELD_DEFAULTS[key]
+            if value is not None or default is not None:
+                # Parsed from its text as the command-line flag would be.
+                try:
+                    value = (str if default is None else type(default))(str(value))
+                except ValueError as exc:
+                    raise ConfigurationError(f"config key {key!r}: {exc}") from exc
             setattr(config, key, value)
     for flag, field_name in _FLAG_TO_FIELD.items():
         value = getattr(args, flag, None)

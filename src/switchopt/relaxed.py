@@ -20,7 +20,7 @@ from .core import (
     TimeGrid,
     mode_deviation_costs,
 )
-from .errors import DimensionError
+from .errors import DimensionError, DivergenceError
 from .simulate import SwitchedSystem, _adjoint_values, _integrate_values
 
 
@@ -179,7 +179,10 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
             decrease = float((grad_u * du).sum() + (grad_w * dw).sum())
             if decrease >= -1e-300:
                 break  # no descent along the projection arc
-            f_new = problem.value(u_new, w_new)
+            try:
+                f_new = problem.value(u_new, w_new)
+            except DivergenceError:
+                f_new = np.inf  # a trial that blows up fails like an Armijo test
             if f_new <= fx + options.armijo_c * decrease:
                 accepted = True
                 break

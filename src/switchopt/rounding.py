@@ -34,9 +34,9 @@ from .core import (
     TimeGrid,
     onehot_to_binary,
 )
-from .errors import CapacityError, DimensionError, InfeasibleError
+from .errors import CapacityError, DimensionError, DivergenceError, InfeasibleError
 from .relaxed import RelaxedSolveOptions
-from .simulate import SwitchedSystem, _adjoint_values, _integrate_values
+from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _step
 
 MAX_ORACLE_INTERVALS = 32
 
@@ -484,8 +484,12 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
             decrease = float((grad * (u_new - u_vals)).sum())
             if decrease >= -1e-300:
                 break
-            states = _integrate_values(system, grid, u_new, w_values)
-            f_new = float(system.terminal_cost(states[-1]))
+            try:
+                states = _integrate_values(system, grid, u_new, w_values)
+            except DivergenceError:
+                f_new = np.inf  # a trial that blows up fails like an Armijo test
+            else:
+                f_new = float(system.terminal_cost(states[-1]))
             if f_new <= fx + options.armijo_c * decrease:
                 accepted = True
                 break
@@ -529,17 +533,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     h = grid_coarse.step
     u_stub = np.zeros(system.control_dim)
 
-    def advance(y, k, mode_idx):
-        """One integration step under a single active mode (no controls)."""
-        t = grid_coarse.node(k)
-        r = modes.values[mode_idx]
-        if system.integrator == "rk4":
-            s1 = np.asarray(system.rhs(t, y, u_stub, r), dtype=np.float64)
-            s2 = np.asarray(system.rhs(t + 0.5 * h, y + 0.5 * h * s1, u_stub, r), dtype=np.float64)
-            s3 = np.asarray(system.rhs(t + 0.5 * h, y + 0.5 * h * s2, u_stub, r), dtype=np.float64)
-            s4 = np.asarray(system.rhs(t + h, y + h * s3, u_stub, r), dtype=np.float64)
-            return y + (h / 6.0) * (s1 + 2 * s2 + 2 * s3 + s4)
-        return y + h * np.asarray(system.rhs(t, y, u_stub, r), dtype=np.float64)
+    onehot_rows = np.eye(m)
 
     best_value = np.inf
     best_sequence = None
@@ -552,7 +546,9 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     modewise = spec.representation == MODEWISE
     n_comp = 1 if modewise else modes.n_switches
     for mode in range(m - 1, -1, -1):
-        y1 = advance(system.initial_state, 0, mode) if not has_u else None
+        y1 = None if has_u else _step(
+            system, grid_coarse.node(0), system.initial_state, u_stub, onehot_rows[mode], h
+        )[0]
         stack.append((0, (mode,), (1,) * n_comp, (True,) * n_comp, (0,) * n_comp, y1))
 
     while stack:
@@ -563,8 +559,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         nodes += 1
         if depth == n - 1:
             if has_u:
-                w_values = np.zeros((n, m))
-                w_values[np.arange(n), np.array(seq)] = 1.0
+                w_values = onehot_rows[np.array(seq)]
                 u_vals, value = solve_leaf(w_values)
             else:
                 u_vals = None
@@ -607,14 +602,15 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
                 nu = tuple(
                     used[c] + (prev_row[c] != new_row[c]) for c in range(n_comp)
                 )
-            y_next = advance(y, k, mode) if not has_u else None
+            y_next = None if has_u else _step(
+                system, grid_coarse.node(k), y, u_stub, onehot_rows[mode], h
+            )[0]
             children.append((k, seq + (mode,), nr, nf, nu, y_next))
         stack.extend(reversed(children))  # pop order = ascending mode index
 
     if best_sequence is None:
         raise InfeasibleError("oracle found no feasible mode sequence")
-    onehot = np.zeros((n, m))
-    onehot[np.arange(n), np.array(best_sequence)] = 1.0
+    onehot = onehot_rows[np.array(best_sequence)]
     control = onehot_to_binary(RelaxedControlPath(grid_coarse, onehot), modes)
     return OracleResult(
         best_control=control,

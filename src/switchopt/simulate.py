@@ -7,6 +7,11 @@ asks for it), with all controls held constant on the interval.  Gradients are
 exact for the discrete transcription: the adjoint sweep differentiates the
 integrator itself, so it matches central finite differences to solver
 precision.
+
+The sweeps use only the stacked form of a system (``rhs_stack`` and the
+weight-combined Jacobians).  A gradient sweep keeps the forward pass's stage
+states and per-mode stage fields (N x stages x modes x n_y floats) and walks
+them backwards instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -36,9 +41,16 @@ class SwitchedSystem:
 
     ``rhs(t, y, u, r)`` evaluates the full state derivative for one binary
     configuration r; ``rhs_jac_state`` and ``rhs_jac_control`` are its exact
-    partial derivatives at the same arguments.  Integral costs are expected
-    to be folded into the state as quadrature components so that the
-    objective is ``terminal_cost`` at the final state only.
+    partial derivatives at the same arguments.  These per-mode callables are
+    the contract.  Integral costs are expected to be folded into the state as
+    quadrature components so that the objective is ``terminal_cost`` at the
+    final state only.
+
+    The stacked hooks are optional speed-ups returning float arrays.  Absent
+    ones are derived from the per-mode callables; supplied ones must match
+    them bitwise on one-hot rows (up to the sign of zero).  Derived hooks are
+    stored in their fields, so a ``dataclasses.replace`` copy with new
+    per-mode callables must pass the hooks as None to derive them again.
     """
 
     state_dim: int
@@ -55,7 +67,6 @@ class SwitchedSystem:
     integrator: str = RK4
     name: str = ""
     state_names: Optional[tuple] = None
-    # Optional vectorized hooks; semantics must match the per-mode callables.
     rhs_stack: Optional[Callable] = None            # (t, y, u) -> (n_modes, n_y)
     combined_jac_state: Optional[Callable] = None   # (t, y, u, weights) -> (n_y, n_y)
     combined_jac_control: Optional[Callable] = None  # (t, y, u, weights) -> (n_y, m_u)
@@ -77,6 +88,39 @@ class SwitchedSystem:
         object.__setattr__(self, "initial_state", y0)
         object.__setattr__(self, "control_lower", lo)
         object.__setattr__(self, "control_upper", hi)
+        modes = self.modes.values
+        if self.rhs_stack is None:
+            object.__setattr__(self, "rhs_stack", _stacked(self.rhs, modes))
+        if self.combined_jac_state is None:
+            object.__setattr__(self, "combined_jac_state", _combined(
+                self.rhs_jac_state, modes, (self.state_dim, self.state_dim)
+            ))
+        if self.combined_jac_control is None:
+            object.__setattr__(self, "combined_jac_control", _combined(
+                self.rhs_jac_control, modes, (self.state_dim, self.control_dim)
+            ))
+
+
+def _stacked(rhs: Callable, modes: np.ndarray) -> Callable:
+    """``rhs_stack`` built from the per-mode right-hand side."""
+    def rhs_stack(t, y, u):
+        return np.array([rhs(t, y, u, r) for r in modes], dtype=np.float64)
+
+    return rhs_stack
+
+
+def _combined(jac: Callable, modes: np.ndarray, shape: tuple) -> Callable:
+    """Weight-combined Jacobian built from a per-mode one; zero weights are
+    skipped, so a one-hot row gives the active mode's Jacobian exactly."""
+    def combined(t, y, u, weights):
+        out = np.zeros(shape)
+        for r, wi in zip(modes, weights):
+            if wi != 0.0:
+                out = out + wi * np.asarray(jac(t, y, u, r), dtype=np.float64)
+        return out
+
+    return combined
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -100,29 +144,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _mode_field(system: SwitchedSystem, t: float, y: np.ndarray, u: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """Convex combination of mode right-hand sides.
-
-    The per-mode path skips zero weights, which keeps one-hot rows bitwise
-    identical to selecting the single active mode directly; the stacked path
-    contracts in one product (exact up to the sign of zero).
-    """
-    if system.rhs_stack is not None:
-        return weights @ system.rhs_stack(t, y, u)
-    modes = system.modes.values
-    out = None
-    for i, wi in enumerate(weights):
-        if wi == 0.0:
-            continue
-        fi = system.rhs(t, y, u, modes[i])
-        contrib = fi if wi == 1.0 else wi * np.asarray(fi, dtype=np.float64)
-        out = contrib if out is None else out + contrib
-    if out is None:
-        return np.zeros(system.state_dim)
-    return np.asarray(out, dtype=np.float64)
-
-
 def _check_control_shapes(system: SwitchedSystem, grid: TimeGrid,
                           u: ContinuousControlPath, w: RelaxedControlPath):
     if u.grid != grid or w.grid != grid:
@@ -139,41 +160,55 @@ def _check_control_shapes(system: SwitchedSystem, grid: TimeGrid,
         )
 
 
+def _step(system: SwitchedSystem, t: float, y: np.ndarray, u_k: np.ndarray,
+          w_k: np.ndarray, h: float):
+    """One RK4 or forward-Euler step of the convexified field ``w_k @ rhs_stack``.
+
+    Returns (y_next, stage_states, stage_fields): the states at which the
+    stages were evaluated and the per-mode fields (n_modes, n_y) there.
+    """
+    stack = system.rhs_stack
+    if system.integrator == EULER:
+        f1 = stack(t, y, u_k)
+        return y + h * (w_k @ f1), (y,), (f1,)
+    half_h = 0.5 * h
+    t_mid = t + half_h
+    f1 = stack(t, y, u_k)
+    s1 = w_k @ f1
+    y2 = y + half_h * s1
+    f2 = stack(t_mid, y2, u_k)
+    s2 = w_k @ f2
+    y3 = y + half_h * s2
+    f3 = stack(t_mid, y3, u_k)
+    s3 = w_k @ f3
+    y4 = y + h * s3
+    f4 = stack(t + h, y4, u_k)
+    s4 = w_k @ f4
+    y_next = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    return y_next, (y, y2, y3, y4), (f1, f2, f3, f4)
+
+
 def _integrate_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                      w_values: np.ndarray) -> np.ndarray:
-    """Forward sweep on raw arrays; returns (N+1, n_y) node states."""
+                      w_values: np.ndarray, stages: Optional[list] = None) -> np.ndarray:
+    """Forward sweep on raw arrays; returns (N+1, n_y) node states.
+
+    When ``stages`` is a list, each interval's (stage states, stage fields)
+    pair from ``_step`` is appended to it.
+    """
     n = grid.n_intervals
     h = grid.step
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
     states = np.empty((n + 1, system.state_dim))
     states[0] = system.initial_state
     y = system.initial_state.copy()
-    rk4 = system.integrator == RK4
-    stack = system.rhs_stack
-    field = _mode_field
     for k in range(n):
         t = grid.t_start + k * h
-        uk = u_values[k]
-        wk = w_values[k]
-        if rk4:
-            if stack is not None:
-                s1 = wk @ stack(t, y, uk)
-                s2 = wk @ stack(t + half_h, y + half_h * s1, uk)
-                s3 = wk @ stack(t + half_h, y + half_h * s2, uk)
-                s4 = wk @ stack(t + h, y + h * s3, uk)
-            else:
-                s1 = field(system, t, y, uk, wk)
-                s2 = field(system, t + half_h, y + half_h * s1, uk, wk)
-                s3 = field(system, t + half_h, y + half_h * s2, uk, wk)
-                s4 = field(system, t + h, y + h * s3, uk, wk)
-            y = y + sixth_h * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-        else:
-            y = y + h * field(system, t, y, uk, wk)
+        y, stage_states, stage_fields = _step(system, t, y, u_values[k], w_values[k], h)
         if not np.isfinite(y).all():
             raise DivergenceError(
                 f"non-finite state after interval {k}", interval=k
             )
+        if stages is not None:
+            stages.append((stage_states, stage_fields))
         states[k + 1] = y
     return states
 
@@ -228,122 +263,65 @@ _RK_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                    w_values: np.ndarray, penalty_grad_w: Optional[np.ndarray],
-                    states: Optional[np.ndarray] = None):
+                    w_values: np.ndarray, penalty_grad_w: Optional[np.ndarray]):
     """Reverse sweep on raw arrays.
 
     Returns (value, grad_u, grad_w) of terminal cost plus the linear penalty
     whose w-gradient is ``penalty_grad_w`` (already scaled by rho and step).
-    Stage states are recomputed backwards from the stored node states, which
-    may be passed in to reuse an existing forward sweep.
+    The forward sweep keeps its stage states and per-mode stage fields, and
+    the adjoint rolls back through them.
     """
     n = grid.n_intervals
     h = grid.step
-    modes = system.modes.values
-    n_modes = modes.shape[0]
-    if states is None:
-        states = _integrate_values(system, grid, u_values, w_values)
+    stages = []
+    states = _integrate_values(system, grid, u_values, w_values, stages)
     value = float(system.terminal_cost(states[-1]))
-    if penalty_grad_w is not None:
-        value += float((w_values * penalty_grad_w).sum())
-
     grad_u = np.zeros_like(u_values)
     grad_w = np.zeros_like(w_values)
     if penalty_grad_w is not None:
+        value += float((w_values * penalty_grad_w).sum())
         grad_w += penalty_grad_w
 
     lam = np.asarray(system.terminal_cost_gradient(states[-1]), dtype=np.float64).copy()
     rk4 = system.integrator == RK4
     has_u = u_values.shape[1] > 0
-    stack = system.rhs_stack
+    jac_y = system.combined_jac_state
+    jac_u = system.combined_jac_control
     half_h = 0.5 * h
     hb1, hb2, hb3, hb4 = (h * b for b in _RK_B)
-
-    def stage_rhs(t, y, uk):
-        if stack is not None:
-            return np.asarray(stack(t, y, uk), dtype=np.float64)
-        return np.array(
-            [system.rhs(t, y, uk, modes[i]) for i in range(n_modes)],
-            dtype=np.float64,
-        )
 
     for k in range(n - 1, -1, -1):
         t = grid.t_start + k * h
         uk = u_values[k]
         wk = w_values[k]
-        y1 = states[k]
         if rk4:
-            # Recompute stage states and per-mode stage derivatives ...
+            (y1, y2, y3, y4), (f1, f2, f3, f4) = stages[k]
             t_mid, t_end = t + half_h, t + h
-            f1 = stage_rhs(t, y1, uk)
-            y2 = y1 + half_h * (wk @ f1)
-            f2 = stage_rhs(t_mid, y2, uk)
-            y3 = y1 + half_h * (wk @ f2)
-            f3 = stage_rhs(t_mid, y3, uk)
-            y4 = y1 + h * (wk @ f3)
-            f4 = stage_rhs(t_end, y4, uk)
-            # ... then roll the adjoint back through them.
             sb4 = hb4 * lam
-            yb4 = _combined_state_jacobian(system, t_end, y4, uk, wk).T @ sb4
+            yb4 = jac_y(t_end, y4, uk, wk).T @ sb4
             sb3 = hb3 * lam + h * yb4
-            yb3 = _combined_state_jacobian(system, t_mid, y3, uk, wk).T @ sb3
+            yb3 = jac_y(t_mid, y3, uk, wk).T @ sb3
             sb2 = hb2 * lam + half_h * yb3
-            yb2 = _combined_state_jacobian(system, t_mid, y2, uk, wk).T @ sb2
+            yb2 = jac_y(t_mid, y2, uk, wk).T @ sb2
             sb1 = hb1 * lam + half_h * yb2
-            yb1 = _combined_state_jacobian(system, t, y1, uk, wk).T @ sb1
+            yb1 = jac_y(t, y1, uk, wk).T @ sb1
             grad_w[k] += f1 @ sb1 + f2 @ sb2 + f3 @ sb3 + f4 @ sb4
             if has_u:
                 grad_u[k] += (
-                    _combined_control_jacobian(system, t, y1, uk, wk).T @ sb1
-                    + _combined_control_jacobian(system, t_mid, y2, uk, wk).T @ sb2
-                    + _combined_control_jacobian(system, t_mid, y3, uk, wk).T @ sb3
-                    + _combined_control_jacobian(system, t_end, y4, uk, wk).T @ sb4
+                    jac_u(t, y1, uk, wk).T @ sb1
+                    + jac_u(t_mid, y2, uk, wk).T @ sb2
+                    + jac_u(t_mid, y3, uk, wk).T @ sb3
+                    + jac_u(t_end, y4, uk, wk).T @ sb4
                 )
             lam = lam + yb1 + yb2 + yb3 + yb4
         else:
-            fj = stage_rhs(t, y1, uk)
-            grad_w[k] += h * (fj @ lam)
+            (y1,), (f1,) = stages[k]
+            grad_w[k] += h * (f1 @ lam)
             if has_u:
-                grad_u[k] += h * (
-                    _combined_control_jacobian(system, t, y1, uk, wk).T @ lam
-                )
-            lam = lam + h * (
-                _combined_state_jacobian(system, t, y1, uk, wk).T @ lam
-            )
+                grad_u[k] += h * (jac_u(t, y1, uk, wk).T @ lam)
+            lam = lam + h * (jac_y(t, y1, uk, wk).T @ lam)
 
     return value, grad_u, grad_w
-
-
-def _combined_state_jacobian(system, t, y, u, weights):
-    if system.combined_jac_state is not None:
-        return np.asarray(system.combined_jac_state(t, y, u, weights), dtype=np.float64)
-    modes = system.modes.values
-    out = None
-    for i, wi in enumerate(weights):
-        if wi == 0.0:
-            continue
-        ji = np.asarray(system.rhs_jac_state(t, y, u, modes[i]), dtype=np.float64)
-        contrib = ji if wi == 1.0 else wi * ji
-        out = contrib if out is None else out + contrib
-    if out is None:
-        return np.zeros((system.state_dim, system.state_dim))
-    return out
-
-
-def _combined_control_jacobian(system, t, y, u, weights):
-    if system.combined_jac_control is not None:
-        return np.asarray(system.combined_jac_control(t, y, u, weights), dtype=np.float64)
-    modes = system.modes.values
-    out = None
-    for i, wi in enumerate(weights):
-        if wi == 0.0:
-            continue
-        ji = np.asarray(system.rhs_jac_control(t, y, u, modes[i]), dtype=np.float64)
-        contrib = ji if wi == 1.0 else wi * ji
-        out = contrib if out is None else out + contrib
-    if out is None:
-        return np.zeros((system.state_dim, system.control_dim))
-    return out
 
 
 def adjoint_gradient(system: SwitchedSystem, grid: TimeGrid,

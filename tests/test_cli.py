@@ -169,6 +169,27 @@ class TestMain:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, body", [
+        ("--config", "a: [1, 2"),
+        ("--config", "- problem\n- fuller\n"),
+        ("--config", "tau_min: abc\n"),
+        ("--config", None),
+        ("--problem-file", None),
+        ("--problem-file", "nodes: [src, dst"),
+    ], ids=[
+        "config-malformed", "config-list", "config-mistyped", "config-missing",
+        "problem-file-missing", "problem-file-malformed",
+    ])
+    def test_bad_input_file_exit_two(self, tmp_path, capsys, flag, body):
+        path = tmp_path / "input.yaml"
+        if body is not None:
+            path.write_text(body)
+        argv = ["run", "--method", "sur", "--out", str(tmp_path), flag, str(path)]
+        if flag == "--problem-file":
+            argv += ["--problem", "custom-file"]
+        assert cli.main(argv) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"
         yaml.safe_dump(

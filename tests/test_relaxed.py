@@ -7,7 +7,7 @@ import switchopt as so
 from switchopt.errors import DimensionError
 from switchopt.relaxed import project_rows_to_simplex
 
-from conftest import make_zero_system
+from conftest import make_blowup_system, make_zero_system
 
 
 def simplex_projection_oracle(v):
@@ -186,3 +186,42 @@ class TestSolveRelaxedPoc:
             so.RelaxedSolveOptions(backtrack_factor=0.0)
         with pytest.raises(DimensionError):
             so.RelaxedSolveOptions(stationarity_tol=-1.0)
+
+
+class TestDivergingTrial:
+    """A trial sweep that leaves the finite range is backtracked, not raised."""
+
+    grid = so.TimeGrid(0.0, 1.5, 15)
+    # The cost is unbounded below, so only a few iterations are run.
+    options = so.RelaxedSolveOptions(max_iterations=5)
+
+    def test_relaxed_solve_backtracks(self):
+        system = make_blowup_system()
+        u, w = default_start(system, self.grid)
+        vt = so.BinaryControlPath.constant(self.grid, [0])
+        start = so.penalized_objective(system, self.grid, u, w, vt, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = so.solve_relaxed_poc(system, self.grid, vt, 0.0, (u, w), self.options)
+        assert np.isfinite(res.value)
+        assert res.value <= start
+
+    def test_continuous_best_response_backtracks(self):
+        system = make_blowup_system(controlled=True)
+        u, _ = default_start(system, self.grid)
+        w = np.tile([1.0, 0.0], (self.grid.n_intervals, 1))
+        traj = so.integrate(system, self.grid, u, so.RelaxedControlPath(self.grid, w))
+        start = so.objective(system, traj)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, value = so.best_response_continuous(system, self.grid, w, self.options)
+        assert np.isfinite(value)
+        assert value <= start
+
+    def test_adm_run_survives(self):
+        system = make_blowup_system()
+        spec = so.CombinatorialSpec.uniform(1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = so.adm_penalty(
+                system, self.grid, spec,
+                options=so.AdmOptions(relaxed_options=self.options),
+            )
+        assert np.isfinite(res.objective)

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import DivergenceError
-from switchopt.simulate import _integrate_values
+from switchopt.simulate import _adjoint_values, _integrate_values
 
 from conftest import make_zero_system
 
@@ -294,6 +295,54 @@ class TestAdjointGradient:
         fd_u, fd_w = central_difference_gradient(system, grid, u_vals, w_vals, vt, 0.3)
         assert relative_gradient_error(gu, fd_u) <= 1e-5
         assert relative_gradient_error(gw, fd_w) <= 1e-5
+
+
+def relative_error(got, want):
+    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
+
+
+class TestSystemContract:
+    """The hand-written stacked hooks agree with the per-mode callables."""
+
+    @pytest.fixture(params=["fuller_50", "translines_coarse"])
+    def case(self, request):
+        system, grid, _ = request.getfixturevalue(request.param)
+        per_mode = dataclasses.replace(
+            system, rhs_stack=None, combined_jac_state=None,
+            combined_jac_control=None,
+        )
+        rng = np.random.default_rng(41)
+        n = grid.n_intervals
+        u = rng.uniform(system.control_lower, system.control_upper,
+                        (n, system.control_dim))
+        w = rng.random((n, system.modes.n_modes))
+        w /= w.sum(axis=1, keepdims=True)
+        onehot = np.eye(system.modes.n_modes)[rng.integers(0, w.shape[1], n)]
+        return system, per_mode, grid, u, w, onehot
+
+    def test_forward_states_bitwise_on_onehot_rows(self, case):
+        system, per_mode, grid, u, _, onehot = case
+        assert np.array_equal(
+            _integrate_values(system, grid, u, onehot),
+            _integrate_values(per_mode, grid, u, onehot),
+        )
+
+    def test_forward_states_on_fractional_rows(self, case):
+        system, per_mode, grid, u, w, _ = case
+        assert relative_error(
+            _integrate_values(per_mode, grid, u, w),
+            _integrate_values(system, grid, u, w),
+        ) <= 1e-13
+
+    def test_value_and_gradients(self, case):
+        system, per_mode, grid, u, w, _ = case
+        pen = np.random.default_rng(5).random(w.shape)
+        value, gu, gw = _adjoint_values(system, grid, u, w, pen)
+        value_pm, gu_pm, gw_pm = _adjoint_values(per_mode, grid, u, w, pen)
+        assert abs(value_pm - value) <= 1e-12 * abs(value)
+        assert relative_error(gw_pm, gw) <= 1e-12
+        if gu.size:
+            assert relative_error(gu_pm, gu) <= 1e-12
 
 
 class TestDerivativeValidation:

@@ -16,6 +16,7 @@ synthetic defaults, documented here, not calibrated reference data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -291,8 +292,12 @@ def build_translines(config: TranslinesConfig):
     def mode_index(r):
         return int(np.dot(r, mode_weights))
 
+    @lru_cache(maxsize=4096)
     def demands(t):
-        return np.array([np.interp(t, ts, qs) for ts, qs in demand_tables])
+        # Fields are evaluated at the same few grid times over and over.
+        out = np.array([np.interp(t, ts, qs) for ts, qs in demand_tables])
+        out.flags.writeable = False
+        return out
 
     def rhs(t, y, u, r):
         i = mode_index(r)

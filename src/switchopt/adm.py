@@ -109,6 +109,8 @@ class InnerStepRecord:
     psi_after_mip: Optional[float]
     break_fired: Optional[str]
     discarded_candidate_psi: Optional[float] = None
+    relaxed_iterations: int = 0
+    relaxed_stationarity: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -219,6 +221,9 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
     for l in range(options.max_inner_iterations):
         sol = solve_relaxed_poc(system, grid, v_tilde, rho, solver_warm, solver_opts)
         solver_warm = (sol.u, sol.w)
+        solve_stats = dict(
+            relaxed_iterations=sol.iterations, relaxed_stationarity=sol.stationarity,
+        )
         if options.variant == ADM_SUR:
             w_new = sum_up_rounding(sol.w, grid)
             obj_new = objective(system, integrate(system, grid, sol.u, w_new))
@@ -236,7 +241,7 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
             certified = True
             records.append(InnerStepRecord(
                 outer_index, l, rho, sol.value, sol.converged, obj_new,
-                pen_new, psi_cur, psi_new, None, None, reason,
+                pen_new, psi_cur, psi_new, None, None, reason, **solve_stats,
             ))
             break
 
@@ -256,13 +261,13 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
             records.append(InnerStepRecord(
                 outer_index, l, rho, sol.value, sol.converged, obj_new,
                 pen_new, psi_cur, psi_new, pen_after, psi_after, reason,
-                discarded_candidate_psi=psi_cur,
+                discarded_candidate_psi=psi_cur, **solve_stats,
             ))
             break
 
         records.append(InnerStepRecord(
             outer_index, l, rho, sol.value, sol.converged, obj_new,
-            pen_new, psi_cur, psi_new, pen_after, psi_after, None,
+            pen_new, psi_cur, psi_new, pen_after, psi_after, None, **solve_stats,
         ))
         u_it, w_it, v_tilde = sol.u, w_new, v_tilde_new
         psi_cur = psi_after

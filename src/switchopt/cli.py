@@ -489,6 +489,16 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
+def _float_list(text, flag):
+    """Comma-separated numbers of a sweep flag; None when the flag is absent."""
+    if not text:
+        return None
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -504,14 +514,8 @@ def main(argv=None) -> int:
         for m in methods:
             if m not in METHODS:
                 raise ConfigurationError(f"unknown method {m!r}")
-        taus = (
-            [float(x) for x in args.tau_min_values.split(",") if x]
-            if args.tau_min_values else None
-        )
-        factors = (
-            [float(x) for x in args.rho_factor_values.split(",") if x]
-            if args.rho_factor_values else None
-        )
+        taus = _float_list(args.tau_min_values, "--tau-min-values")
+        factors = _float_list(args.rho_factor_values, "--rho-factor-values")
         table = sweep(config, methods, taus, factors)
         print(str(table))
         return 0

@@ -5,6 +5,9 @@ continuous controls and the relaxed mode multipliers has simple geometry:
 a box per control channel and a probability simplex per multiplier row.
 Projected gradient with a Barzilai-Borwein trial step and Armijo
 backtracking keeps every iterate feasible and the value sequence monotone.
+Each line-search trial records its forward sweep; the gradient at an
+accepted iterate walks the accepted trial's sweep backwards, so every
+accepted iterate costs one forward sweep, not two.
 """
 
 from __future__ import annotations
@@ -98,16 +101,19 @@ class _PenalizedProblem:
         self.lower = system.control_lower
         self.upper = system.control_upper
 
-    def value(self, u_values, w_values) -> float:
-        states = _integrate_values(self.system, self.grid, u_values, w_values)
+    def value(self, u_values, w_values):
+        """Penalized value and the (states, stages) forward sweep behind it."""
+        stages = []
+        states = _integrate_values(self.system, self.grid, u_values, w_values, stages)
         val = float(self.system.terminal_cost(states[-1]))
         if self.penalty_grad_w is not None:
             val += float((w_values * self.penalty_grad_w).sum())
-        return val
+        return val, (states, stages)
 
-    def value_and_gradient(self, u_values, w_values):
+    def value_and_gradient(self, u_values, w_values, sweep=None):
+        """``sweep``, when given, is ``value``'s sweep at these same arrays."""
         return _adjoint_values(
-            self.system, self.grid, u_values, w_values, self.penalty_grad_w
+            self.system, self.grid, u_values, w_values, self.penalty_grad_w, sweep
         )
 
     def project(self, u_values, w_values):
@@ -180,9 +186,9 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
             if decrease >= -1e-300:
                 break  # no descent along the projection arc
             try:
-                f_new = problem.value(u_new, w_new)
+                f_new, sweep = problem.value(u_new, w_new)
             except DivergenceError:
-                f_new = np.inf  # a trial that blows up fails like an Armijo test
+                f_new, sweep = np.inf, None  # a trial that blows up fails like an Armijo test
             if f_new <= fx + options.armijo_c * decrease:
                 accepted = True
                 break
@@ -194,7 +200,8 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
         u_vals, w_vals = u_new, w_new
         step = t
         iterations += 1
-        fx, grad_u, grad_w = problem.value_and_gradient(u_vals, w_vals)
+        # The accepted trial's forward sweep is the one at the new iterate.
+        fx, grad_u, grad_w = problem.value_and_gradient(u_vals, w_vals, sweep)
         res = _stationarity(problem, u_vals, w_vals, grad_u, grad_w)
         converged = res <= options.stationarity_tol
 

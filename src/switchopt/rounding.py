@@ -453,6 +453,7 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
 
     Projected gradient in u with the mode multipliers held fixed; returns
     (u values, objective value).  Used by the oracle at enumeration leaves.
+    The gradient at an accepted iterate reuses the accepted trial's sweep.
     """
     lo, hi = system.control_lower, system.control_upper
     u_vals = np.repeat(((lo + hi) / 2.0)[None, :], grid.n_intervals, axis=0)
@@ -460,8 +461,8 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
         states = _integrate_values(system, grid, u_vals, w_values)
         return u_vals, float(system.terminal_cost(states[-1]))
 
-    def value_grad(u):
-        val, gu, _ = _adjoint_values(system, grid, u, w_values, None)
+    def value_grad(u, sweep=None):
+        val, gu, _ = _adjoint_values(system, grid, u, w_values, None, sweep)
         return val, gu
 
     fx, grad = value_grad(u_vals)
@@ -484,12 +485,13 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
             decrease = float((grad * (u_new - u_vals)).sum())
             if decrease >= -1e-300:
                 break
+            stages = []
             try:
-                states = _integrate_values(system, grid, u_new, w_values)
+                states = _integrate_values(system, grid, u_new, w_values, stages)
             except DivergenceError:
-                f_new = np.inf  # a trial that blows up fails like an Armijo test
+                f_new, sweep = np.inf, None  # a trial that blows up fails like an Armijo test
             else:
-                f_new = float(system.terminal_cost(states[-1]))
+                f_new, sweep = float(system.terminal_cost(states[-1])), (states, stages)
             if f_new <= fx + options.armijo_c * decrease:
                 accepted = True
                 break
@@ -498,7 +500,7 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
             break
         prev = (u_vals, grad)
         u_vals, step = u_new, t
-        fx, grad = value_grad(u_vals)
+        fx, grad = value_grad(u_vals, sweep)
     return u_vals, fx
 
 

@@ -11,7 +11,8 @@ precision.
 The sweeps use only the stacked form of a system (``rhs_stack`` and the
 weight-combined Jacobians).  A gradient sweep keeps the forward pass's stage
 states and per-mode stage fields (N x stages x modes x n_y floats) and walks
-them backwards instead of recomputing them.
+them backwards instead of recomputing them; a caller that already holds a
+recorded forward sweep at the same point hands it over and skips the pass.
 """
 
 from __future__ import annotations
@@ -263,18 +264,25 @@ _RK_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                    w_values: np.ndarray, penalty_grad_w: Optional[np.ndarray]):
+                    w_values: np.ndarray, penalty_grad_w: Optional[np.ndarray],
+                    sweep: Optional[tuple] = None):
     """Reverse sweep on raw arrays.
 
     Returns (value, grad_u, grad_w) of terminal cost plus the linear penalty
     whose w-gradient is ``penalty_grad_w`` (already scaled by rho and step).
     The forward sweep keeps its stage states and per-mode stage fields, and
-    the adjoint rolls back through them.
+    the adjoint rolls back through them.  ``sweep`` is an optional
+    (states, stages) pair already recorded by ``_integrate_values`` at these
+    same arrays, such as an accepted line-search trial's; with it no forward
+    sweep runs here.
     """
     n = grid.n_intervals
     h = grid.step
-    stages = []
-    states = _integrate_values(system, grid, u_values, w_values, stages)
+    if sweep is None:
+        stages = []
+        states = _integrate_values(system, grid, u_values, w_values, stages)
+    else:
+        states, stages = sweep
     value = float(system.terminal_cost(states[-1]))
     grad_u = np.zeros_like(u_values)
     grad_w = np.zeros_like(w_values)

@@ -92,6 +92,26 @@ class TestInnerAlternation:
         assert not certified
         assert len(records) == 1 and records[0].break_fired is None
 
+    def test_relaxed_solve_stats_recorded(self, fuller_50):
+        system, grid, spec = fuller_50
+        options = fast_options()
+        start = so.default_initial_guess(system, grid)
+        _, _, records, _, _ = so.inner_alternation(
+            system, grid, spec, 0.1, options, start
+        )
+        solver_options = options.solver_options()
+        sol = so.solve_relaxed_poc(
+            system, grid, start.v_tilde, 0.1, (start.u, start.w), solver_options
+        )
+        first = records[0]
+        assert first.relaxed_value == sol.value
+        assert first.relaxed_iterations == sol.iterations > 0
+        assert first.relaxed_stationarity == sol.stationarity
+        for rec in records:
+            assert rec.relaxed_converged == (
+                rec.relaxed_stationarity <= solver_options.stationarity_tol
+            )
+
     def test_inner_descent_recorded(self, fuller_100):
         system, grid, spec = fuller_100
         options = fast_options()

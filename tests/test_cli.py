@@ -38,6 +38,11 @@ class TestRun:
         assert record["feasible"] is True
         assert record["penalty_value"] < 1e-4
         assert record["switch_counts"] is not None
+        trace = json.loads((tmp_path / record["trace_file"]).read_text())["trace"]
+        assert trace and all(
+            rec["relaxed_iterations"] >= 0 and rec["relaxed_stationarity"] >= 0
+            for rec in trace
+        )
 
     def test_infeasible_solver_exit_path(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -189,6 +194,20 @@ class TestMain:
             argv += ["--problem", "custom-file"]
         assert cli.main(argv) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--tau-min-values", "abc"),
+        ("--tau-min-values", "0.05,x"),
+        ("--rho-factor-values", "10,ten"),
+    ])
+    def test_bad_sweep_values_exit_two(self, tmp_path, capsys, flag, values):
+        code = cli.main([
+            "sweep", "--problem", "fuller", "--methods", "sur",
+            "--n-intervals", "20", "--out", str(tmp_path), flag, values,
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sweep_*"))
 
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -186,6 +187,56 @@ class TestSolveRelaxedPoc:
             so.RelaxedSolveOptions(backtrack_factor=0.0)
         with pytest.raises(DimensionError):
             so.RelaxedSolveOptions(stationarity_tol=-1.0)
+
+
+def counted_system(system):
+    """Copy of ``system`` whose stage-field and terminal callables count calls."""
+    counts = dict.fromkeys(("rhs_stack", "terminal_cost", "terminal_cost_gradient"), 0)
+
+    def counting(name):
+        fn = getattr(system, name)
+
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    return dataclasses.replace(system, **{name: counting(name) for name in counts}), counts
+
+
+class TestOneSweepPerAcceptedIterate:
+    """Each trial sweeps forward once, and the gradient at an accepted trial
+    reuses that sweep: forward sweeps = trials + 1 for the warm start, where
+    every trial and every gradient evaluates the terminal cost once."""
+
+    def test_relaxed_solve(self, fuller_50):
+        system, grid, _ = fuller_50
+        system, counts = counted_system(system)
+        u, w = default_start(system, grid)
+        vt = so.BinaryControlPath.constant(grid, [0])
+        res = so.solve_relaxed_poc(
+            system, grid, vt, 0.1, (u, w),
+            so.RelaxedSolveOptions(stationarity_tol=1e-4, max_iterations=40),
+        )
+        assert res.iterations > 0
+        assert counts["terminal_cost_gradient"] == res.iterations + 1
+        sweeps, rest = divmod(counts["rhs_stack"], grid.n_intervals * 4)
+        assert rest == 0
+        assert sweeps == counts["terminal_cost"] - counts["terminal_cost_gradient"] + 1
+
+    def test_continuous_best_response(self, translines_coarse):
+        system, grid, _ = translines_coarse
+        system, counts = counted_system(system)
+        n = grid.n_intervals
+        w = np.eye(system.modes.n_modes)[np.arange(n) % system.modes.n_modes]
+        so.best_response_continuous(
+            system, grid, w, so.RelaxedSolveOptions(max_iterations=10)
+        )
+        assert counts["terminal_cost_gradient"] > 1
+        sweeps, rest = divmod(counts["rhs_stack"], n)  # one Euler stage per interval
+        assert rest == 0
+        assert sweeps == counts["terminal_cost"] - counts["terminal_cost_gradient"] + 1
 
 
 class TestDivergingTrial:

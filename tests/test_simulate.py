@@ -6,7 +6,7 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import DivergenceError
-from switchopt.simulate import _adjoint_values, _integrate_values
+from switchopt.simulate import EULER, RK4, _adjoint_values, _integrate_values
 
 from conftest import make_zero_system
 
@@ -343,6 +343,32 @@ class TestSystemContract:
         assert relative_error(gw_pm, gw) <= 1e-12
         if gu.size:
             assert relative_error(gu_pm, gu) <= 1e-12
+
+
+class TestRecordedSweep:
+    """The adjoint over a recorded forward sweep equals the self-sweeping one."""
+
+    @pytest.mark.parametrize("name, integrator", [
+        ("fuller_50", RK4), ("translines_coarse", EULER),
+    ])
+    def test_bitwise_equal_to_own_sweep(self, request, name, integrator):
+        system, grid, _ = request.getfixturevalue(name)
+        assert system.integrator == integrator
+        rng = np.random.default_rng(17)
+        n = grid.n_intervals
+        u = rng.uniform(system.control_lower, system.control_upper,
+                        (n, system.control_dim))
+        w = rng.random((n, system.modes.n_modes))
+        w /= w.sum(axis=1, keepdims=True)
+        pen = rng.random(w.shape)
+        stages = []
+        states = _integrate_values(system, grid, u, w, stages)
+        assert len(stages) == n
+        value, gu, gw = _adjoint_values(system, grid, u, w, pen)
+        value_r, gu_r, gw_r = _adjoint_values(system, grid, u, w, pen, (states, stages))
+        assert value_r == value
+        assert gu_r.tobytes() == gu.tobytes()
+        assert gw_r.tobytes() == gw.tobytes()
 
 
 class TestDerivativeValidation:

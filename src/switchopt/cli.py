@@ -48,7 +48,7 @@ from .core import (
     binary_to_onehot,
     switch_count,
 )
-from .errors import ConfigurationError, InfeasibleError, SwitchOptError
+from .errors import ConfigurationError, DimensionError, InfeasibleError, SwitchOptError
 from .rounding import global_oracle
 from .simulate import integrate, objective
 
@@ -57,7 +57,8 @@ METHODS = ("poc", "sur", "ciap", "adm", "adm-sur", "oracle")
 
 ENV_OUTPUT_DIR = "SWITCHOPT_OUT"
 
-#: Fixed key order of the per-run result record.
+#: Fixed key order of the per-run result record.  ``seed`` is recorded
+#: only: no solver draws random numbers, so it does not change any result.
 RECORD_KEYS = (
     "problem", "method", "tau_min", "n_intervals", "volumes_per_line",
     "epsilon", "rho_initial", "rho_increment_factor", "rho_max", "seed",
@@ -83,20 +84,29 @@ class RunConfig:
     problem_file: Optional[str] = None
     label: Optional[str] = None
 
-    def validate(self):
+    def validate(self) -> PenaltySchedule:
+        """Check the config; returns its penalty ladder."""
         if self.problem not in PROBLEMS:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.method == "oracle" and self.n_intervals > 32:
             raise ConfigurationError("the oracle needs n_intervals <= 32")
-        for name in ("tau_min", "epsilon", "rho_initial", "rho_increment_factor", "rho_max"):
+        for name in ("tau_min", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.n_intervals < 1 or self.volumes_per_line < 1:
             raise ConfigurationError("interval and volume counts must be >= 1")
         if self.problem == "custom-file" and not self.problem_file:
             raise ConfigurationError("custom-file problems need --problem-file")
+        try:
+            return PenaltySchedule(
+                rho_initial=self.rho_initial,
+                increment_factor=self.rho_increment_factor,
+                rho_max=self.rho_max,
+            )
+        except DimensionError as exc:
+            raise ConfigurationError(f"penalty ladder: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -166,14 +176,9 @@ def _translines_config_from_dict(raw: dict) -> TranslinesConfig:
         raise ConfigurationError(f"bad problem file: {exc}") from exc
 
 
-def _execute(config: RunConfig, system, grid, spec):
+def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
     """Dispatch one method; returns (u, v_binary or None, w_relaxed or None,
     objective, penalty_value, feasible, rho_final, extras)."""
-    schedule = PenaltySchedule(
-        rho_initial=config.rho_initial,
-        increment_factor=config.rho_increment_factor,
-        rho_max=config.rho_max,
-    )
     if config.method == "poc":
         sol = _poc_solution(system, grid)
         return dict(
@@ -317,14 +322,14 @@ def run(config: RunConfig) -> dict:
     Returns the result record; raises ConfigurationError for bad configs and
     lets solver infeasibility surface as a record with an error entry.
     """
-    config.validate()
+    schedule = config.validate()
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.label or f"{config.problem}_{config.method}"
     system, grid, spec = _load_problem(config)
     started = time.perf_counter()
     try:
-        outcome = _execute(config, system, grid, spec)
+        outcome = _execute(config, schedule, system, grid, spec)
     except InfeasibleError as exc:
         wall = time.perf_counter() - started
         record = _record(config, None, wall, None, error=f"infeasible: {exc}")

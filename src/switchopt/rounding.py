@@ -1,9 +1,11 @@
 """Integer-side solvers: rounding, exact dwell projection, and enumeration.
 
-Four solvers share the dwell-lock state machine (current value, length of the
-current run, whether that run touches the left boundary, switches used):
+Three of the four solvers walk one dwell-lock automaton, ``_DwellAutomaton``,
+whose states are (current value, length of the current run, whether that run
+touches the left boundary, switches used) and whose successor table is the
+only encoding of the dwell rule:
 
-* sum-up rounding, the classical greedy integral-gap rounding;
+* sum-up rounding, the classical greedy integral-gap rounding (no lock);
 * an exact dynamic program over dwell-feasible value sequences, used both
   for the 1-norm projection of a binary path and for its multiplier-weighted
   generalization;
@@ -12,6 +14,7 @@ current run, whether that run touches the left boundary, switches used):
 * a depth-first global oracle that enumerates every dwell-feasible mode
   sequence on a coarse grid and simulates each one.
 
+``core._run_violations`` stays an independent checker of the same rule.
 All tie-breaks are lowest-index-first so results are deterministic.
 """
 
@@ -87,7 +90,11 @@ class DwellDpTable:
 
 
 class _DwellAutomaton:
-    """Transition structure for dwell-feasible sequences over n_values."""
+    """The dwell lock as a finite automaton over n_values.
+
+    ``successors[s]`` lists the (value, next state) pairs of state s in
+    ascending value order: the stay, and each switch the lock allows.
+    """
 
     def __init__(self, n_values: int, min_dwell: int,
                  max_dwell: Optional[int], max_switches: Optional[int]):
@@ -97,31 +104,28 @@ class _DwellAutomaton:
         self.d = min_dwell
         self.dmax = max_dwell
         self.budget = max_switches
-        self.run_cap = (max_dwell + 1) if max_dwell is not None else min_dwell
+        run_cap = (max_dwell + 1) if max_dwell is not None else min_dwell
         used_levels = range(max_switches + 1) if max_switches is not None else (0,)
         self.states = tuple(
             (val, run, first, used)
             for val in range(n_values)
-            for run in range(1, self.run_cap + 1)
+            for run in range(1, run_cap + 1)
             for first in (False, True)
             for used in used_levels
         )
         self.index = {s: i for i, s in enumerate(self.states)}
         self.n_states = len(self.states)
-        # Per state: index after staying, and list of (new_value, index) after
-        # switching (empty when the lock forbids it).
-        self.stay = np.empty(self.n_states, dtype=np.int64)
-        self.switches = []
-        for i, (val, run, first, used) in enumerate(self.states):
-            self.stay[i] = self.index[(val, min(run + 1, self.run_cap), first, used)]
-            targets = []
-            if self._may_switch(run, first, used):
-                new_used = min(used + 1, max_switches) if max_switches is not None else 0
-                for new_val in range(n_values):
-                    if new_val == val:
-                        continue
-                    targets.append((new_val, self.index[(new_val, 1, False, new_used)]))
-            self.switches.append(tuple(targets))
+        bump = 0 if max_switches is None else 1
+        self.successors = tuple(
+            tuple(
+                (new_val, self.index[(val, min(run + 1, run_cap), first, used)])
+                if new_val == val
+                else (new_val, self.index[(new_val, 1, False, used + bump)])
+                for new_val in range(n_values)
+                if new_val == val or self._may_switch(run, first, used)
+            )
+            for val, run, first, used in self.states
+        )
 
     def _may_switch(self, run: int, first: bool, used: int) -> bool:
         if self.budget is not None and used >= self.budget:
@@ -157,18 +161,14 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton):
         row = table[k - 1]
         new_row = table[k]
         new_pred = preds[k]
-        for s in range(automaton.n_states):
+        cost_k = costs[k]
+        for s, successors in enumerate(automaton.successors):
             base = row[s]
             if base == inf:
                 continue
-            val = automaton.states[s][0]
-            t = automaton.stay[s]
-            cand = base + costs[k, val]
-            if cand < new_row[t]:
-                new_row[t] = cand
-                new_pred[t] = s
-            for new_val, t in automaton.switches[s]:
-                cand = base + costs[k, new_val]
+            # Each target appears once per source, so ties keep the lowest s.
+            for val, t in successors:
+                cand = base + cost_k[val]
                 if cand < new_row[t]:
                     new_row[t] = cand
                     new_pred[t] = s
@@ -314,8 +314,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     n = grid.n_intervals
     m = w.n_modes
     h = grid.step
-    d, dmax, budget = _ciap_scalars(spec, m)
-    run_cap = (dmax + 1) if dmax is not None else d
+    automaton = _DwellAutomaton(m, *_ciap_scalars(spec, m))
     values = w.values
 
     # Node storage: parents[i] = (parent index, mode at this node's interval).
@@ -325,12 +324,10 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     incumbent = None  # (deviation, node index)
     pops = 0
 
-    def push(depth, mode, run, first, used, gamma, bound, parent):
+    def push(depth, mode, state, gamma, bound, parent):
         node_id = len(parents)
         parents.append((parent, mode))
-        heapq.heappush(
-            heap, (bound, -depth, next(counter), node_id, mode, run, first, used, gamma)
-        )
+        heapq.heappush(heap, (bound, -depth, next(counter), node_id, state, gamma))
 
     def reconstruct(node_id):
         seq = []
@@ -346,14 +343,14 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     for mode in range(m):
         gamma = (values[0] - np.eye(m)[mode]) * h
         bound = float(np.abs(gamma).max())
-        push(0, mode, 1, True, 0, tuple(gamma), bound, -1)
+        push(0, mode, automaton.initial_state(mode), tuple(gamma), bound, -1)
 
     best_leaf = None
     proven = False
     while heap:
         if pops >= max_nodes:
             break
-        bound, neg_depth, _, node_id, mode, run, first, used, gamma = heapq.heappop(heap)
+        bound, neg_depth, _, node_id, state, gamma = heapq.heappop(heap)
         pops += 1
         depth = -neg_depth
         if incumbent is not None and bound > incumbent[0]:
@@ -364,19 +361,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             break
         k = depth + 1
         wk = values[k]
-        may_switch = (
-            (first or (run >= d and (dmax is None or run <= dmax)))
-            and (budget is None or used < budget)
-        )
-        for new_mode in range(m):
-            if new_mode == mode:
-                new_run = min(run + 1, run_cap)
-                new_first, new_used = first, used
-            else:
-                if not may_switch:
-                    continue
-                new_run, new_first = 1, False
-                new_used = used + 1 if budget is not None else 0
+        for new_mode, new_state in automaton.successors[state]:
             new_gamma = tuple(
                 g + (wk[i] - (1.0 if i == new_mode else 0.0)) * h
                 for i, g in enumerate(gamma)
@@ -386,7 +371,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                 continue
             if k == n - 1:
                 incumbent = (new_bound, len(parents))
-            push(k, new_mode, new_run, new_first, new_used, new_gamma, new_bound, node_id)
+            push(k, new_mode, new_state, new_gamma, new_bound, node_id)
 
     if best_leaf is None:
         if incumbent is None:
@@ -394,7 +379,8 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             # frontier node by holding its mode, which is always feasible.
             if not heap:
                 raise InfeasibleError("no dwell-feasible assignment was reached")
-            bound, neg_depth, _, node_id, mode, run, first, used, gamma = heap[0]
+            bound, neg_depth, _, node_id, state, gamma = heap[0]
+            mode = automaton.states[state][0]
             gamma = np.asarray(gamma)
             for k in range(-neg_depth + 1, n):
                 gamma = gamma + (values[k] - np.eye(m)[mode]) * h
@@ -429,21 +415,6 @@ class OracleResult:
     nodes_explored: int
     proven_optimal: bool
     best_u: Optional[np.ndarray] = None
-
-
-def _mode_transition_allowed(spec, modes, prev_row, new_row, runs, firsts, used):
-    """Check one interval transition against componentwise dwell locks."""
-    for c in range(modes.n_switches):
-        if prev_row[c] != new_row[c]:
-            if spec.max_switches is not None and used[c] >= spec.max_switches[c]:
-                return False
-            if firsts[c]:
-                continue
-            if runs[c] < spec.min_dwell[c]:
-                return False
-            if spec.max_dwell is not None and runs[c] > spec.max_dwell[c]:
-                return False
-    return True
 
 
 def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
@@ -523,10 +494,21 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         )
     modes = system.modes
     m = modes.n_modes
+    # One automaton per constrained component, and each mode's value in each:
+    # the mode index for a modewise spec, the switch bits for a componentwise one.
     if spec.representation == MODEWISE:
-        d, dmax, budget = _component_params(spec, 0)
+        automata = (_DwellAutomaton(m, *_component_params(spec, 0)),)
+        mode_values = [(mode,) for mode in range(m)]
     elif spec.n_components != modes.n_switches:
         raise DimensionError("componentwise spec does not match the mode table")
+    else:
+        automata = tuple(
+            _DwellAutomaton(2, *_component_params(spec, c))
+            for c in range(spec.n_components)
+        )
+        mode_values = [tuple(int(b) for b in row) for row in modes.values]
+    # transitions[c][s][value]: automaton c's successor of state s on value.
+    transitions = [[dict(succ) for succ in a.successors] for a in automata]
 
     has_u = system.control_dim > 0
     solve_leaf = inner_solver or (
@@ -543,21 +525,22 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     nodes = 0
     truncated = False
 
-    # Stack entries: (depth, mode, runs, firsts, used, state-after-interval)
+    # Stack entries: (depth, mode sequence, automaton states, state-after-interval)
     stack = []
-    modewise = spec.representation == MODEWISE
-    n_comp = 1 if modewise else modes.n_switches
     for mode in range(m - 1, -1, -1):
         y1 = None if has_u else _step(
             system, grid_coarse.node(0), system.initial_state, u_stub, onehot_rows[mode], h
         )[0]
-        stack.append((0, (mode,), (1,) * n_comp, (True,) * n_comp, (0,) * n_comp, y1))
+        states = tuple(
+            a.initial_state(value) for a, value in zip(automata, mode_values[mode])
+        )
+        stack.append((0, (mode,), states, y1))
 
     while stack:
         if nodes >= max_nodes:
             truncated = True
             break
-        depth, seq, runs, firsts, used, y = stack.pop()
+        depth, seq, states, y = stack.pop()
         nodes += 1
         if depth == n - 1:
             if has_u:
@@ -572,42 +555,19 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
                 best_u = u_vals
             continue
         k = depth + 1
-        prev_mode = seq[-1]
         children = []
         for mode in range(m):
-            if modewise:
-                if mode == prev_mode:
-                    nr, nf, nu = (runs[0] + 1,), firsts, used
-                else:
-                    ok = (firsts[0] or (
-                        runs[0] >= d and (dmax is None or runs[0] <= dmax)
-                    )) and (budget is None or used[0] < budget)
-                    if not ok:
-                        continue
-                    nr, nf = (1,), (False,)
-                    nu = (used[0] + 1,)
-            else:
-                prev_row = modes.values[prev_mode]
-                new_row = modes.values[mode]
-                if not _mode_transition_allowed(
-                    spec, modes, prev_row, new_row, runs, firsts, used
-                ):
-                    continue
-                nr = tuple(
-                    runs[c] + 1 if prev_row[c] == new_row[c] else 1
-                    for c in range(n_comp)
-                )
-                nf = tuple(
-                    firsts[c] if prev_row[c] == new_row[c] else False
-                    for c in range(n_comp)
-                )
-                nu = tuple(
-                    used[c] + (prev_row[c] != new_row[c]) for c in range(n_comp)
-                )
+            # A mode is taken only when every component's lock allows it.
+            next_states = tuple(
+                table[s].get(value)
+                for table, s, value in zip(transitions, states, mode_values[mode])
+            )
+            if None in next_states:
+                continue
             y_next = None if has_u else _step(
                 system, grid_coarse.node(k), y, u_stub, onehot_rows[mode], h
             )[0]
-            children.append((k, seq + (mode,), nr, nf, nu, y_next))
+            children.append((k, seq + (mode,), next_states, y_next))
         stack.extend(reversed(children))  # pop order = ascending mode index
 
     if best_sequence is None:

@@ -209,6 +209,19 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("sweep_*"))
 
+    @pytest.mark.parametrize("flags", [
+        ["--rho-factor", "1"],
+        ["--rho-init", "10", "--rho-max", "1"],
+    ], ids=["factor-one", "init-above-max"])
+    def test_bad_penalty_ladder_exit_two(self, tmp_path, capsys, flags):
+        code = cli.main([
+            "run", "--problem", "fuller", "--method", "adm-sur",
+            "--n-intervals", "20", "--out", str(tmp_path), *flags,
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_result.json"))
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"
         yaml.safe_dump(

@@ -5,6 +5,9 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import CapacityError
+from switchopt.rounding import _DwellAutomaton
+
+from conftest import make_zero_system
 
 
 def runs_of(bits):
@@ -257,6 +260,33 @@ class TestDwellDpTable:
         finite = np.isfinite(table.costs[-1])
         assert table.best_terminal() == int(np.argmax(finite))
 
+    def test_successor_walk_enumerates_feasible_sequences(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n_values = int(rng.integers(2, 4))
+            d = int(rng.integers(1, 4))
+            dmax = d + int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+            budget = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
+            n = int(rng.integers(1, 8 if n_values == 2 else 6))
+            automaton = _DwellAutomaton(n_values, d, dmax, budget)
+            for s, successors in enumerate(automaton.successors):
+                listed = [val for val, _ in successors]
+                assert listed == sorted(set(listed))
+                assert automaton.states[s][0] in listed
+
+            walked = []
+
+            def walk(prefix, state):
+                if len(prefix) == n:
+                    walked.append(tuple(prefix))
+                    return
+                for val, nxt in automaton.successors[state]:
+                    walk(prefix + [val], nxt)
+
+            for val in range(n_values):
+                walk([val], automaton.initial_state(val))
+            assert walked == all_feasible_sequences(n, n_values, d, dmax, budget)
+
 
 def exhaustive_ciap(values, h, d, dmax=None, budget=None):
     """Best deviation over every dwell-feasible mode sequence."""
@@ -388,6 +418,52 @@ class TestGlobalOracle:
             for seq in sequences
         )
         assert res.best_value == pytest.approx(best, abs=1e-12)
+
+    @staticmethod
+    def feasible_prefix_count(n, n_modes, component_bits, params):
+        """Prefixes of every length 1..n whose per-component value sequences
+        pass the independent dwell predicate."""
+        return sum(
+            all(
+                sequence_feasible([bits(mode) for mode in prefix], *p)
+                for bits, p in zip(component_bits, params)
+            )
+            for length in range(1, n + 1)
+            for prefix in itertools.product(range(n_modes), repeat=length)
+        )
+
+    def test_nodes_count_feasible_prefixes_modewise_fuller(self):
+        n = 8
+        system, _, _ = so.build_fuller(so.FullerConfig(0.5, n))
+        grid = so.TimeGrid(0.0, 1.0, n)
+        spec = so.CombinatorialSpec.uniform(
+            1, 2, max_dwell=3, max_switches=2, representation=so.MODEWISE
+        )
+        res = so.global_oracle(system, grid, spec)
+        assert res.proven_optimal
+        assert res.nodes_explored == self.feasible_prefix_count(
+            n, 2, [lambda mode: mode], [(2, 3, 2)]
+        )
+        indicator = so.binary_to_onehot(res.best_control, system.modes)
+        v_ind = so.BinaryControlPath(grid, indicator.values.astype(int))
+        assert so.check_feasible(v_ind, spec, grid).feasible
+
+    def test_nodes_count_feasible_prefixes_componentwise_two_switches(self):
+        n = 6
+        system = make_zero_system(n_modes=4)
+        grid = so.TimeGrid(0.0, 1.0, n)
+        spec = so.CombinatorialSpec(
+            min_dwell=(1, 2), max_dwell=(2, 3), max_switches=(3, 2)
+        )
+        res = so.global_oracle(system, grid, spec)
+        assert res.proven_optimal
+        rows = system.modes.values
+        assert res.nodes_explored == self.feasible_prefix_count(
+            n, 4,
+            [lambda mode: rows[mode, 0], lambda mode: rows[mode, 1]],
+            [(1, 2, 3), (2, 3, 2)],
+        )
+        assert so.check_feasible(res.best_control, spec, grid).feasible
 
     def test_dominates_heuristics_on_coarse_grid(self):
         system, grid, spec = so.build_fuller(so.FullerConfig(0.1, 20))

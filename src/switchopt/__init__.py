@@ -67,6 +67,7 @@ from .errors import (
 from .relaxed import (
     RelaxedSolveOptions,
     RelaxedSolveResult,
+    best_response_continuous,
     project_simplex,
     solve_relaxed_poc,
 )
@@ -74,7 +75,6 @@ from .rounding import (
     CiapResult,
     DwellDpTable,
     OracleResult,
-    best_response_continuous,
     constrained_ciap,
     dwell_project,
     dwell_project_weighted,

@@ -50,9 +50,12 @@ class PenaltySchedule:
     rho_max: float = 1e6
 
     def __post_init__(self):
+        # An infinite rho_max would never end the ladder.
+        if not np.isfinite([self.rho_initial, self.increment_factor, self.rho_max]).all():
+            raise DimensionError("penalty ladder values must be finite")
         if not 0 < self.rho_initial <= self.rho_max:
             raise DimensionError("need 0 < rho_initial <= rho_max")
-        if self.increment_factor <= 1:
+        if not self.increment_factor > 1:
             raise DimensionError("increment_factor must exceed 1")
 
     def ladder(self) -> tuple:
@@ -73,8 +76,8 @@ class AdmOptions:
     relaxed_options: Optional[RelaxedSolveOptions] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.penalty_stop_tol <= 0:
-            raise DimensionError("epsilon and penalty_stop_tol must be positive")
+        if not (0 < self.epsilon < np.inf and 0 < self.penalty_stop_tol < np.inf):
+            raise DimensionError("epsilon and penalty_stop_tol must be positive and finite")
         if self.max_inner_iterations < 1:
             raise DimensionError("max_inner_iterations must be >= 1")
         if self.variant not in (ADM_SUR, ADM_PLAIN):
@@ -190,6 +193,24 @@ def default_initial_guess(system: SwitchedSystem, grid: TimeGrid) -> _Point:
     return _Point(u0, w0, v0)
 
 
+def _control_step(system, grid, v_tilde, rho, options: AdmOptions, warm):
+    """The control direction: relaxed solve, the variant's step, then psi.
+
+    Returns (solve result, stepped multipliers, objective, penalty, psi).
+    The SUR variant rounds the relaxed multipliers and re-simulates; the
+    plain variant keeps them and reads the objective off the solve's value.
+    """
+    sol = solve_relaxed_poc(system, grid, v_tilde, rho, warm, options.solver_options())
+    if options.variant == ADM_SUR:
+        w_new = sum_up_rounding(sol.w, grid)
+        obj_new = objective(system, integrate(system, grid, sol.u, w_new))
+    else:
+        w_new = sol.w
+        obj_new = sol.value - rho * weighted_penalty_value(system, grid, sol.w, v_tilde)
+    pen_new = weighted_penalty_value(system, grid, w_new, v_tilde)
+    return sol, w_new, obj_new, pen_new, obj_new + rho * pen_new
+
+
 def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
                       spec: CombinatorialSpec, rho: float, options: AdmOptions,
                       start_point, outer_index: int = 1,
@@ -203,7 +224,6 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
     the best available relaxed solution.
     """
     eps_half = options.epsilon / 2.0
-    solver_opts = options.solver_options()
     if isinstance(start_point, _Point):
         point = start_point
     else:
@@ -219,21 +239,13 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
     certified = False
 
     for l in range(options.max_inner_iterations):
-        sol = solve_relaxed_poc(system, grid, v_tilde, rho, solver_warm, solver_opts)
+        sol, w_new, obj_new, pen_new, psi_new = _control_step(
+            system, grid, v_tilde, rho, options, solver_warm
+        )
         solver_warm = (sol.u, sol.w)
         solve_stats = dict(
             relaxed_iterations=sol.iterations, relaxed_stationarity=sol.stationarity,
         )
-        if options.variant == ADM_SUR:
-            w_new = sum_up_rounding(sol.w, grid)
-            obj_new = objective(system, integrate(system, grid, sol.u, w_new))
-        else:
-            w_new = sol.w
-            obj_new = sol.value - rho * weighted_penalty_value(
-                system, grid, sol.w, v_tilde
-            )
-        pen_new = weighted_penalty_value(system, grid, w_new, v_tilde)
-        psi_new = obj_new + rho * pen_new
 
         if psi_new >= psi_cur - eps_half:
             final_point = _Point(sol.u, w_new, v_tilde)
@@ -290,17 +302,9 @@ def _certificate(system, grid, spec, rho, options, point: _Point) -> PEpsCertifi
     pen_best = weighted_penalty_value(system, grid, point.w, v_proj)
     mip_slack = max(0.0, pen_cur - pen_best)
 
-    sol = solve_relaxed_poc(
-        system, grid, point.v_tilde, rho, (point.u, point.w),
-        options.solver_options(),
+    *_, psi_re = _control_step(
+        system, grid, point.v_tilde, rho, options, (point.u, point.w)
     )
-    if options.variant == ADM_SUR:
-        w_re = sum_up_rounding(sol.w, grid)
-        psi_re = objective(
-            system, integrate(system, grid, sol.u, w_re)
-        ) + rho * weighted_penalty_value(system, grid, w_re, point.v_tilde)
-    else:
-        psi_re = sol.value
     poc_slack = max(0.0, psi_cur - psi_re)
     return PEpsCertificate(
         rho=rho, epsilon=options.epsilon,
@@ -411,6 +415,24 @@ def poc_lower_bound(system: SwitchedSystem, grid: TimeGrid,
     return _poc_solution(system, grid, options).value
 
 
+def _rounded_result(system, grid, spec, sol, w_round: RelaxedControlPath,
+                    method: str, converged: bool) -> AdmResult:
+    """Result of a relaxed solve whose multipliers were rounded to ``w_round``.
+
+    The rounded path is re-simulated with the relaxed solve's u and checked
+    exactly against the constraint set.
+    """
+    v = onehot_to_binary(w_round, system.modes)
+    obj = objective(system, integrate(system, grid, sol.u, w_round))
+    feasible = bool(_feasibility(v, spec, grid, system).feasible)
+    return AdmResult(
+        u_final=sol.u, v_final=v, v_tilde_final=v,
+        objective=obj, penalty_value=0.0, rho_final=0.0,
+        feasible=feasible, p_eps_certificate=None, trace=(),
+        method=method, converged=converged, relaxed_w_final=sol.w,
+    )
+
+
 def lift_to_modewise(spec: CombinatorialSpec) -> CombinatorialSpec:
     """Conservative mode-level spec whose feasibility implies the original.
 
@@ -444,15 +466,7 @@ def ciap_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSp
         or (spec.n_components == 1 and system.modes.n_modes == 2)
     ) else lift_to_modewise(spec)
     res = constrained_ciap(sol.w, spec_bnb, grid, max_nodes=max_nodes)
-    v = onehot_to_binary(res.control, system.modes)
-    obj = objective(system, integrate(system, grid, sol.u, res.control))
-    feasible = bool(_feasibility(v, spec, grid, system).feasible)
-    return AdmResult(
-        u_final=sol.u, v_final=v, v_tilde_final=v,
-        objective=obj, penalty_value=0.0, rho_final=0.0,
-        feasible=feasible, p_eps_certificate=None, trace=(),
-        method="ciap", converged=res.proven_optimal, relaxed_w_final=sol.w,
-    )
+    return _rounded_result(system, grid, spec, sol, res.control, "ciap", res.proven_optimal)
 
 
 def sur_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
@@ -465,12 +479,4 @@ def sur_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpe
     """
     sol = _poc_solution(system, grid, options)
     w_round = sum_up_rounding(sol.w, grid)
-    v = onehot_to_binary(w_round, system.modes)
-    obj = objective(system, integrate(system, grid, sol.u, w_round))
-    feasible = bool(_feasibility(v, spec, grid, system).feasible)
-    return AdmResult(
-        u_final=sol.u, v_final=v, v_tilde_final=v,
-        objective=obj, penalty_value=0.0, rho_final=0.0,
-        feasible=feasible, p_eps_certificate=None, trace=(),
-        method="sur", converged=sol.converged, relaxed_w_final=sol.w,
-    )
+    return _rounded_result(system, grid, spec, sol, w_round, "sur", sol.converged)

@@ -93,8 +93,8 @@ class RunConfig:
         if self.method == "oracle" and self.n_intervals > 32:
             raise ConfigurationError("the oracle needs n_intervals <= 32")
         for name in ("tau_min", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.n_intervals < 1 or self.volumes_per_line < 1:
             raise ConfigurationError("interval and volume counts must be >= 1")
         if self.problem == "custom-file" and not self.problem_file:

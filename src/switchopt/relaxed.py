@@ -8,6 +8,9 @@ backtracking keeps every iterate feasible and the value sequence monotone.
 Each line-search trial records its forward sweep; the gradient at an
 accepted iterate walks the accepted trial's sweep backwards, so every
 accepted iterate costs one forward sweep, not two.
+
+One loop, ``_minimize``, serves both solves: the relaxed solve over (u, w),
+and the oracle's continuous best response over u with w held fixed.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ class RelaxedSolveOptions:
     initial_step: float = 1.0
 
     def __post_init__(self):
-        if self.stationarity_tol <= 0 or self.max_iterations <= 0 or self.initial_step <= 0:
-            raise DimensionError("solver tolerances and limits must be positive")
+        if not (0 < self.stationarity_tol < np.inf and 0 < self.initial_step < np.inf
+                and self.max_iterations > 0):
+            raise DimensionError("solver tolerances and limits must be positive and finite")
         if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
             raise DimensionError("armijo_c and backtrack_factor must lie in (0, 1)")
 
@@ -85,13 +89,19 @@ def project_rows_to_simplex(mat: np.ndarray) -> np.ndarray:
 
 
 class _PenalizedProblem:
-    """Raw-array value/gradient oracle for one fixed (v_tilde, rho) pair."""
+    """Raw-array value/gradient oracle for one fixed (v_tilde, rho) pair.
+
+    With ``hold_w`` the multipliers are data, not variables: their gradient
+    is reported as zero and ``project`` passes them through, so the shared
+    loop moves u alone.
+    """
 
     def __init__(self, system: SwitchedSystem, grid: TimeGrid,
-                 v_tilde: BinaryControlPath, rho: float):
+                 v_tilde: BinaryControlPath, rho: float, hold_w: bool = False):
         self.system = system
         self.grid = grid
         self.rho = rho
+        self.hold_w = hold_w
         if rho > 0:
             self.penalty_grad_w = rho * grid.step * mode_deviation_costs(
                 system.modes, v_tilde
@@ -112,9 +122,12 @@ class _PenalizedProblem:
 
     def value_and_gradient(self, u_values, w_values, sweep=None):
         """``sweep``, when given, is ``value``'s sweep at these same arrays."""
-        return _adjoint_values(
+        val, grad_u, grad_w = _adjoint_values(
             self.system, self.grid, u_values, w_values, self.penalty_grad_w, sweep
         )
+        if self.hold_w:
+            grad_w = np.zeros_like(w_values)
+        return val, grad_u, grad_w
 
     def project(self, u_values, w_values):
         u_proj = (
@@ -122,6 +135,8 @@ class _PenalizedProblem:
             if u_values.size
             else u_values
         )
+        if self.hold_w:
+            return u_proj, w_values
         return u_proj, project_rows_to_simplex(w_values)
 
 
@@ -133,28 +148,12 @@ def _stationarity(problem, u_values, w_values, grad_u, grad_w) -> float:
     return float(np.sqrt((du * du).sum() + (dw * dw).sum()))
 
 
-def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
-                      v_tilde: BinaryControlPath, rho: float,
-                      warm_start, options: RelaxedSolveOptions = RelaxedSolveOptions()
-                      ) -> RelaxedSolveResult:
-    """Minimize the penalized objective over box controls and simplex rows.
+def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray,
+              options: RelaxedSolveOptions):
+    """Projected-gradient descent from the feasible arrays (u_vals, w_vals).
 
-    ``warm_start`` is a feasible (u, w) pair; the returned value never
-    exceeds the warm start's value.  Convergence is certified by the
-    projected-gradient residual at unit step falling below the tolerance.
-    For instances whose reduced objective is convex this residual bound
-    implies global optimality of the subproblem up to the matching accuracy;
-    for nonconvex instances it is a stationarity surrogate only.
+    Returns (u, w, value, stationarity, iterations, converged).
     """
-    if rho < 0:
-        raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
-    u0, w0 = warm_start
-    if u0.grid != grid or w0.grid != grid:
-        raise DimensionError("warm start lives on a different grid")
-    problem = _PenalizedProblem(system, grid, v_tilde, rho)
-
-    u_vals = u0.values.copy()
-    w_vals = w0.values.copy()
     fx, grad_u, grad_w = problem.value_and_gradient(u_vals, w_vals)
     res = _stationarity(problem, u_vals, w_vals, grad_u, grad_w)
 
@@ -205,9 +204,50 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
         res = _stationarity(problem, u_vals, w_vals, grad_u, grad_w)
         converged = res <= options.stationarity_tol
 
+    return u_vals, w_vals, fx, res, iterations, converged
+
+
+def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
+                      v_tilde: BinaryControlPath, rho: float,
+                      warm_start, options: RelaxedSolveOptions = RelaxedSolveOptions()
+                      ) -> RelaxedSolveResult:
+    """Minimize the penalized objective over box controls and simplex rows.
+
+    ``warm_start`` is a feasible (u, w) pair; the returned value never
+    exceeds the warm start's value.  Convergence is certified by the
+    projected-gradient residual at unit step falling below the tolerance.
+    For instances whose reduced objective is convex this residual bound
+    implies global optimality of the subproblem up to the matching accuracy;
+    for nonconvex instances it is a stationarity surrogate only.
+    """
+    if rho < 0:
+        raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
+    u0, w0 = warm_start
+    if u0.grid != grid or w0.grid != grid:
+        raise DimensionError("warm start lives on a different grid")
+    problem = _PenalizedProblem(system, grid, v_tilde, rho)
+    u_vals, w_vals, fx, res, iterations, converged = _minimize(
+        problem, u0.values.copy(), w0.values.copy(), options
+    )
     u_path = ContinuousControlPath(grid, u_vals, system.control_lower, system.control_upper)
     w_path = RelaxedControlPath(grid, w_vals)
     return RelaxedSolveResult(
         u=u_path, w=w_path, value=fx, stationarity=res,
         iterations=iterations, converged=converged,
     )
+
+
+def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
+                             w_values: np.ndarray,
+                             options: RelaxedSolveOptions = RelaxedSolveOptions()):
+    """Minimize the objective over box-bounded continuous controls only.
+
+    The loop of ``solve_relaxed_poc`` with the mode multipliers held fixed,
+    started from the box midpoint; it stops on the same unit-step residual.
+    Returns (u values, objective value).  Used by the oracle at enumeration
+    leaves.
+    """
+    u0 = ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)
+    problem = _PenalizedProblem(system, grid, None, 0.0, hold_w=True)
+    u_vals, _, fx, _, _, _ = _minimize(problem, u0.values.copy(), w_values, options)
+    return u_vals, fx

@@ -37,9 +37,11 @@ from .core import (
     TimeGrid,
     onehot_to_binary,
 )
-from .errors import CapacityError, DimensionError, DivergenceError, InfeasibleError
-from .relaxed import RelaxedSolveOptions
-from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _step
+from .errors import CapacityError, DimensionError, InfeasibleError
+from .relaxed import best_response_continuous
+from .simulate import SwitchedSystem, _step
+# Unused here; bench/tracing.py wraps the sweeps under these names in this module.
+from .simulate import _adjoint_values, _integrate_values  # noqa: F401
 
 MAX_ORACLE_INTERVALS = 32
 
@@ -415,64 +417,6 @@ class OracleResult:
     nodes_explored: int
     proven_optimal: bool
     best_u: Optional[np.ndarray] = None
-
-
-def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
-                             w_values: np.ndarray,
-                             options: RelaxedSolveOptions = RelaxedSolveOptions()):
-    """Minimize the objective over box-bounded continuous controls only.
-
-    Projected gradient in u with the mode multipliers held fixed; returns
-    (u values, objective value).  Used by the oracle at enumeration leaves.
-    The gradient at an accepted iterate reuses the accepted trial's sweep.
-    """
-    lo, hi = system.control_lower, system.control_upper
-    u_vals = np.repeat(((lo + hi) / 2.0)[None, :], grid.n_intervals, axis=0)
-    if system.control_dim == 0:
-        states = _integrate_values(system, grid, u_vals, w_values)
-        return u_vals, float(system.terminal_cost(states[-1]))
-
-    def value_grad(u, sweep=None):
-        val, gu, _ = _adjoint_values(system, grid, u, w_values, None, sweep)
-        return val, gu
-
-    fx, grad = value_grad(u_vals)
-    step = options.initial_step
-    prev = None
-    for _ in range(options.max_iterations):
-        proj = np.clip(u_vals - grad, lo, hi)
-        if float(np.abs(proj - u_vals).max()) <= options.stationarity_tol:
-            break
-        if prev is not None:
-            s = u_vals - prev[0]
-            y = grad - prev[1]
-            sy = float((s * y).sum())
-            if sy > 1e-300:
-                step = min(max(float((s * s).sum()) / sy, 1e-12), 1e8)
-        t = step
-        accepted = False
-        while t >= 1e-14:
-            u_new = np.clip(u_vals - t * grad, lo, hi)
-            decrease = float((grad * (u_new - u_vals)).sum())
-            if decrease >= -1e-300:
-                break
-            stages = []
-            try:
-                states = _integrate_values(system, grid, u_new, w_values, stages)
-            except DivergenceError:
-                f_new, sweep = np.inf, None  # a trial that blows up fails like an Armijo test
-            else:
-                f_new, sweep = float(system.terminal_cost(states[-1])), (states, stages)
-            if f_new <= fx + options.armijo_c * decrease:
-                accepted = True
-                break
-            t *= options.backtrack_factor
-        if not accepted:
-            break
-        prev = (u_vals, grad)
-        u_vals, step = u_new, t
-        fx, grad = value_grad(u_vals, sweep)
-    return u_vals, fx
 
 
 def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,

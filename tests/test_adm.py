@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import switchopt as so
-from switchopt.errors import InfeasibleError
+from switchopt.errors import DimensionError, InfeasibleError
 
 from conftest import make_zero_system
 
@@ -33,6 +34,23 @@ class TestPenaltySchedule:
             so.PenaltySchedule(increment_factor=1.0)
         with pytest.raises(Exception):
             so.PenaltySchedule(rho_initial=10.0, rho_max=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho_max", math.inf), ("rho_initial", math.nan),
+        ("increment_factor", math.nan), ("increment_factor", math.inf),
+    ])
+    def test_non_finite_values_rejected(self, field, value):
+        # An infinite rho_max would make ladder() run forever.
+        with pytest.raises(DimensionError):
+            so.PenaltySchedule(**{field: value})
+
+
+class TestAdmOptions:
+    @pytest.mark.parametrize("field", ["epsilon", "penalty_stop_tol"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_tolerances_must_be_positive_and_finite(self, field, value):
+        with pytest.raises(DimensionError):
+            so.AdmOptions(**{field: value})
 
 
 class TestInnerAlternation:

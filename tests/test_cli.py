@@ -222,6 +222,24 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_result.json"))
 
+    @pytest.mark.parametrize("flags", [
+        ["--rho-max", "inf"],
+        ["--rho-factor", "nan"],
+        ["--eps", "nan"],
+        ["--eps", "inf"],
+        ["--tau-min", "nan"],
+    ], ids=["rho-max-inf", "rho-factor-nan", "eps-nan", "eps-inf", "tau-min-nan"])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, flags):
+        # sur builds the penalty ladder's schedule but never walks it, so a
+        # value that slips through validation shows as exit 0, not a hang.
+        code = cli.main([
+            "run", "--problem", "fuller", "--method", "sur",
+            "--n-intervals", "20", "--out", str(tmp_path), *flags,
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_result.json"))
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"
         yaml.safe_dump(

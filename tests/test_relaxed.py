@@ -7,6 +7,7 @@ import pytest
 import switchopt as so
 from switchopt.errors import DimensionError
 from switchopt.relaxed import project_rows_to_simplex
+from switchopt.simulate import _adjoint_values
 
 from conftest import make_blowup_system, make_zero_system
 
@@ -188,6 +189,12 @@ class TestSolveRelaxedPoc:
         with pytest.raises(DimensionError):
             so.RelaxedSolveOptions(stationarity_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["stationarity_tol", "initial_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_options_reject_non_finite(self, field, value):
+        with pytest.raises(DimensionError):
+            so.RelaxedSolveOptions(**{field: value})
+
 
 def counted_system(system):
     """Copy of ``system`` whose stage-field and terminal callables count calls."""
@@ -237,6 +244,21 @@ class TestOneSweepPerAcceptedIterate:
         sweeps, rest = divmod(counts["rhs_stack"], n)  # one Euler stage per interval
         assert rest == 0
         assert sweeps == counts["terminal_cost"] - counts["terminal_cost_gradient"] + 1
+
+
+class TestContinuousBestResponse:
+    def test_leaf_solve_meets_the_relaxed_stopping_rule(self, translines_coarse):
+        """The leaf solve stops on the 2-norm unit-step residual that
+        ``solve_relaxed_poc`` certifies, not on a weaker max-norm."""
+        system, grid, _ = translines_coarse
+        m, n = system.modes.n_modes, grid.n_intervals
+        w = np.eye(m)[np.random.default_rng(3).integers(0, m, n)]
+        options = so.RelaxedSolveOptions()
+        u, value = so.best_response_continuous(system, grid, w, options)
+        val, grad_u, _ = _adjoint_values(system, grid, u, w, None)
+        assert val == value
+        step = np.clip(u - grad_u, system.control_lower, system.control_upper) - u
+        assert np.sqrt((step * step).sum()) <= options.stationarity_tol
 
 
 class TestDivergingTrial:

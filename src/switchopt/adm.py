@@ -140,9 +140,16 @@ class PEpsCertificate:
 
 @dataclass(frozen=True, eq=False)
 class AdmResult:
+    """Result of every pipeline method: the two ADM variants, SUR, CIAP, and
+    the CLI's relaxation (``poc``) and oracle runs.
+
+    ``v_final`` and ``v_tilde_final`` are None only for the CLI's ``poc``
+    result, whose control is the relaxed path ``relaxed_w_final``.
+    """
+
     u_final: ContinuousControlPath
-    v_final: BinaryControlPath
-    v_tilde_final: BinaryControlPath
+    v_final: Optional[BinaryControlPath]
+    v_tilde_final: Optional[BinaryControlPath]
     objective: float
     penalty_value: float
     rho_final: float
@@ -234,59 +241,37 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
 
     _, _, psi_cur = _psi_parts(system, grid, point, rho)
     records = []
-    final_point = None
-    reason = "max_inner"
-    certified = False
-
     for l in range(options.max_inner_iterations):
         sol, w_new, obj_new, pen_new, psi_new = _control_step(
             system, grid, v_tilde, rho, options, solver_warm
         )
         solver_warm = (sol.u, sol.w)
-        solve_stats = dict(
-            relaxed_iterations=sol.iterations, relaxed_stationarity=sol.stationarity,
-        )
-
+        pen_after = psi_after = discarded = None
         if psi_new >= psi_cur - eps_half:
-            final_point = _Point(sol.u, w_new, v_tilde)
-            reason = "poc_stall"
-            certified = True
-            records.append(InnerStepRecord(
-                outer_index, l, rho, sol.value, sol.converged, obj_new,
-                pen_new, psi_cur, psi_new, None, None, reason, **solve_stats,
-            ))
-            break
-
-        v_tilde_new = dwell_project_weighted(w_new, system.modes, spec, grid)
-        pen_after = weighted_penalty_value(system, grid, w_new, v_tilde_new)
-        psi_after = obj_new + rho * pen_after
-
-        if psi_after >= psi_new - eps_half:
-            # The projection step cannot improve by eps/2, so the previous
+            fired = "poc_stall"
+        else:
+            v_tilde_new = dwell_project_weighted(w_new, system.modes, spec, grid)
+            pen_after = weighted_penalty_value(system, grid, w_new, v_tilde_new)
+            psi_after = obj_new + rho * pen_after
+            # When the projection step cannot improve by eps/2, the previous
             # projection is eps/2-optimal for the fresh control pair and the
             # pair (u^{l+1}, v^{l+1}, vtilde^l) carries the certificate in
             # both directions.  The value of the index-l candidate is logged
             # alongside for audit.
-            final_point = _Point(sol.u, w_new, v_tilde)
-            reason = "mip_stall"
-            certified = True
-            records.append(InnerStepRecord(
-                outer_index, l, rho, sol.value, sol.converged, obj_new,
-                pen_new, psi_cur, psi_new, pen_after, psi_after, reason,
-                discarded_candidate_psi=psi_cur, **solve_stats,
-            ))
-            break
-
+            fired = "mip_stall" if psi_after >= psi_new - eps_half else None
+            if fired is not None:
+                discarded = psi_cur
         records.append(InnerStepRecord(
             outer_index, l, rho, sol.value, sol.converged, obj_new,
-            pen_new, psi_cur, psi_new, pen_after, psi_after, None, **solve_stats,
+            pen_new, psi_cur, psi_new, pen_after, psi_after, fired,
+            discarded_candidate_psi=discarded, relaxed_iterations=sol.iterations,
+            relaxed_stationarity=sol.stationarity,
         ))
+        if fired is not None:
+            return _Point(sol.u, w_new, v_tilde), fired, records, True, solver_warm
         u_it, w_it, v_tilde = sol.u, w_new, v_tilde_new
         psi_cur = psi_after
-
-    if final_point is None:
-        final_point = _Point(u_it, w_it, v_tilde)
-    return final_point, reason, records, certified, solver_warm
+    return _Point(u_it, w_it, v_tilde), "max_inner", records, False, solver_warm
 
 
 def _certificate(system, grid, spec, rho, options, point: _Point) -> PEpsCertificate:

@@ -174,8 +174,8 @@ class TranslinesConfig:
                 raise ConfigurationError("demand tables need sorted breakpoints")
             if ts[0] > 0 or ts[-1] < self.t_end:
                 raise ConfigurationError("demand tables must cover the horizon")
-        if self.tau_min <= 0:
-            raise ConfigurationError("tau_min must be positive")
+        if not 0 < self.tau_min < np.inf:
+            raise ConfigurationError("tau_min must be positive and finite")
         if self.representation not in (COMPONENTWISE, MODEWISE):
             raise ConfigurationError(f"unknown representation {self.representation!r}")
 

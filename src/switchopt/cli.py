@@ -27,6 +27,7 @@ from .adm import (
     ADM_PLAIN,
     ADM_SUR,
     AdmOptions,
+    AdmResult,
     PenaltySchedule,
     _poc_solution,
     adm_penalty,
@@ -48,9 +49,16 @@ from .core import (
     binary_to_onehot,
     switch_count,
 )
-from .errors import ConfigurationError, DimensionError, InfeasibleError, SwitchOptError
-from .rounding import global_oracle
-from .simulate import integrate, objective
+from .errors import (
+    CapacityError,
+    ConfigurationError,
+    DimensionError,
+    InfeasibleError,
+    RepresentationError,
+    SwitchOptError,
+)
+from .rounding import MAX_ORACLE_INTERVALS, global_oracle
+from .simulate import integrate
 
 PROBLEMS = ("fuller", "translines", "custom-file")
 METHODS = ("poc", "sur", "ciap", "adm", "adm-sur", "oracle")
@@ -90,8 +98,6 @@ class RunConfig:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.method == "oracle" and self.n_intervals > 32:
-            raise ConfigurationError("the oracle needs n_intervals <= 32")
         for name in ("tau_min", "epsilon"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
@@ -119,18 +125,28 @@ def _fmt(x: float) -> str:
 
 
 def _load_problem(config: RunConfig):
+    """Build the configured problem; returns the config of the settings that
+    run (a problem file's own for custom-file) and (system, grid, spec)."""
     if config.problem == "fuller":
-        return build_fuller(
+        return config, build_fuller(
             FullerConfig(tau_min=config.tau_min, n_intervals=config.n_intervals)
         )
     if config.problem == "translines":
-        return build_translines(translines_subgrid_config(
+        return config, build_translines(translines_subgrid_config(
             volumes_per_line=config.volumes_per_line,
             n_time_steps=config.n_intervals,
             tau_min=config.tau_min,
         ))
-    raw = _read_yaml(config.problem_file, "problem file")
-    return build_translines(_translines_config_from_dict(raw))
+    parsed = _translines_config_from_dict(_read_yaml(config.problem_file, "problem file"))
+    try:
+        problem = build_translines(parsed)
+    except (CapacityError, DimensionError, RepresentationError) as exc:
+        raise ConfigurationError(f"bad problem file: {exc}") from exc
+    ran = dataclasses.replace(
+        config, tau_min=float(parsed.tau_min), n_intervals=parsed.n_time_steps,
+        volumes_per_line=parsed.volumes_per_line,
+    )
+    return ran, problem
 
 
 def _read_yaml(path: str, what: str):
@@ -177,54 +193,49 @@ def _translines_config_from_dict(raw: dict) -> TranslinesConfig:
 
 
 def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
-    """Dispatch one method; returns (u, v_binary or None, w_relaxed or None,
-    objective, penalty_value, feasible, rho_final, extras)."""
+    """Run the configured method; returns (AdmResult, trace payload)."""
     if config.method == "poc":
         sol = _poc_solution(system, grid)
-        return dict(
-            u=sol.u, v=None, w=sol.w, objective=sol.value, penalty_value=0.0,
-            feasible=False, rho_final=0.0,
-            extras={"converged": sol.converged, "iterations": sol.iterations,
-                    "stationarity": sol.stationarity},
+        result = AdmResult(
+            u_final=sol.u, v_final=None, v_tilde_final=None, objective=sol.value,
+            penalty_value=0.0, rho_final=0.0, feasible=False, p_eps_certificate=None,
+            trace=(), method="poc", converged=sol.converged, relaxed_w_final=sol.w,
         )
+        return result, {"converged": sol.converged, "iterations": sol.iterations,
+                        "stationarity": sol.stationarity}
+    if config.method == "oracle":
+        res = global_oracle(system, grid, spec)
+        u_values = (
+            np.zeros((grid.n_intervals, 0)) if res.best_u is None else res.best_u
+        )
+        result = AdmResult(
+            u_final=ContinuousControlPath(
+                grid, u_values, system.control_lower, system.control_upper
+            ),
+            v_final=res.best_control, v_tilde_final=res.best_control,
+            objective=res.best_value, penalty_value=0.0, rho_final=0.0,
+            feasible=True, p_eps_certificate=None, trace=(), method="oracle",
+            converged=res.proven_optimal,
+        )
+        return result, {"proven_optimal": res.proven_optimal,
+                        "nodes_explored": res.nodes_explored}
     if config.method in ("sur", "ciap"):
-        run = (sur_heuristic if config.method == "sur" else ciap_heuristic)(
+        result = (sur_heuristic if config.method == "sur" else ciap_heuristic)(
             system, grid, spec
         )
-        return dict(
-            u=run.u_final, v=run.v_final, w=None, objective=run.objective,
-            penalty_value=run.penalty_value, feasible=run.feasible,
-            rho_final=run.rho_final, extras={"converged": run.converged},
-        )
-    if config.method in ("adm", "adm-sur"):
-        options = AdmOptions(
-            epsilon=config.epsilon,
-            variant=ADM_SUR if config.method == "adm-sur" else ADM_PLAIN,
-        )
-        run = adm_penalty(system, grid, spec, schedule, options)
-        extras = {
-            "converged": run.converged,
-            "trace": [dataclasses.asdict(rec) for rec in run.trace],
-        }
-        if run.p_eps_certificate is not None:
-            extras["certificate"] = dataclasses.asdict(run.p_eps_certificate)
-        return dict(
-            u=run.u_final, v=run.v_final, w=None, objective=run.objective,
-            penalty_value=run.penalty_value, feasible=run.feasible,
-            rho_final=run.rho_final, extras=extras,
-        )
-    res = global_oracle(system, grid, spec)
-    u_path = (
-        ContinuousControlPath(grid, res.best_u, system.control_lower, system.control_upper)
-        if res.best_u is not None
-        else ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)
+        return result, {"converged": result.converged}
+    options = AdmOptions(
+        epsilon=config.epsilon,
+        variant=ADM_SUR if config.method == "adm-sur" else ADM_PLAIN,
     )
-    return dict(
-        u=u_path, v=res.best_control, w=None, objective=res.best_value,
-        penalty_value=0.0, feasible=True, rho_final=0.0,
-        extras={"proven_optimal": res.proven_optimal,
-                "nodes_explored": res.nodes_explored},
-    )
+    result = adm_penalty(system, grid, spec, schedule, options)
+    payload = {
+        "converged": result.converged,
+        "trace": [dataclasses.asdict(rec) for rec in result.trace],
+    }
+    if result.p_eps_certificate is not None:
+        payload["certificate"] = dataclasses.asdict(result.p_eps_certificate)
+    return result, payload
 
 
 def _write_csv(path: Path, header, rows):
@@ -234,21 +245,19 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _store_outputs(config: RunConfig, system, grid, outcome, out_dir: Path, label: str):
+def _store_outputs(system, grid, result: AdmResult, payload, out_dir: Path, label: str):
     """Trajectory/control CSVs plus the trace JSON; returns their names."""
-    u = outcome["u"]
+    u = result.u_final
     controls_file = f"{label}_controls.csv"
     trajectory_file = f"{label}_trajectory.csv"
     trace_file = f"{label}_trace.json"
 
-    if outcome["v"] is not None:
-        w_path = binary_to_onehot(outcome["v"], system.modes)
-        control_cols = [
-            (f"v{c + 1}", outcome["v"].values[:, c])
-            for c in range(outcome["v"].n_components)
-        ]
+    v = result.v_final
+    if v is not None:
+        w_path = binary_to_onehot(v, system.modes)
+        control_cols = [(f"v{c + 1}", v.values[:, c]) for c in range(v.n_components)]
     else:
-        w_path = outcome["w"]
+        w_path = result.relaxed_w_final
         control_cols = [
             (f"w{i + 1}", w_path.values[:, i]) for i in range(w_path.n_modes)
         ]
@@ -277,14 +286,15 @@ def _store_outputs(config: RunConfig, system, grid, outcome, out_dir: Path, labe
             for k in range(grid.n_intervals + 1)
         ),
     )
-    (out_dir / trace_file).write_text(json.dumps(outcome["extras"], indent=1))
+    (out_dir / trace_file).write_text(json.dumps(payload, indent=1))
     return controls_file, trajectory_file, trace_file
 
 
-def _record(config: RunConfig, outcome, wall_time, files, error=None) -> dict:
+def _record(config: RunConfig, result: Optional[AdmResult], wall_time, files,
+            error=None) -> dict:
     switch_counts = None
-    if outcome is not None and outcome["v"] is not None:
-        v = outcome["v"]
+    v = None if result is None else result.v_final
+    if v is not None:
         switch_counts = [
             switch_count(v, c, 0, v.grid.n_intervals)
             for c in range(v.n_components)
@@ -301,11 +311,11 @@ def _record(config: RunConfig, outcome, wall_time, files, error=None) -> dict:
         "rho_increment_factor": config.rho_increment_factor,
         "rho_max": config.rho_max,
         "seed": config.seed,
-        "objective": None if outcome is None else outcome["objective"],
-        "penalty_value": None if outcome is None else outcome["penalty_value"],
-        "feasible": None if outcome is None else outcome["feasible"],
+        "objective": None if result is None else result.objective,
+        "penalty_value": None if result is None else result.penalty_value,
+        "feasible": None if result is None else result.feasible,
         "switch_counts": switch_counts,
-        "rho_final": None if outcome is None else outcome["rho_final"],
+        "rho_final": None if result is None else result.rho_final,
         "wall_time_seconds": wall_time,
         "trace_file": trace_file,
         "controls_file": controls_file,
@@ -326,10 +336,12 @@ def run(config: RunConfig) -> dict:
     out_dir = Path(config.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     label = config.label or f"{config.problem}_{config.method}"
-    system, grid, spec = _load_problem(config)
+    config, (system, grid, spec) = _load_problem(config)
+    if config.method == "oracle" and grid.n_intervals > MAX_ORACLE_INTERVALS:
+        raise ConfigurationError(f"the oracle needs at most {MAX_ORACLE_INTERVALS} intervals")
     started = time.perf_counter()
     try:
-        outcome = _execute(config, schedule, system, grid, spec)
+        result, payload = _execute(config, schedule, system, grid, spec)
     except InfeasibleError as exc:
         wall = time.perf_counter() - started
         record = _record(config, None, wall, None, error=f"infeasible: {exc}")
@@ -337,8 +349,8 @@ def run(config: RunConfig) -> dict:
         record["_exit_code"] = 3
         return record
     wall = time.perf_counter() - started
-    files = _store_outputs(config, system, grid, outcome, out_dir, label)
-    record = _record(config, outcome, wall, files)
+    files = _store_outputs(system, grid, result, payload, out_dir, label)
+    record = _record(config, result, wall, files)
     (out_dir / f"{label}_result.json").write_text(json.dumps(record, indent=1))
     return record
 
@@ -379,6 +391,8 @@ def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None,
     """
     if tau_min_values is not None and rho_factor_values is not None:
         raise ConfigurationError("sweep one parameter at a time")
+    if tau_min_values is not None and base.problem == "custom-file":
+        raise ConfigurationError("custom-file problems take tau_min from their file")
     param_name = (
         "rho_increment_factor" if rho_factor_values is not None else "tau_min"
     )

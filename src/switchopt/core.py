@@ -303,6 +303,14 @@ class CombinatorialSpec:
     def n_components(self) -> int:
         return len(self.min_dwell)
 
+    def component(self, c: int):
+        """(min dwell, max dwell or None, switch budget or None) of component c."""
+        return (
+            self.min_dwell[c],
+            None if self.max_dwell is None else self.max_dwell[c],
+            None if self.max_switches is None else self.max_switches[c],
+        )
+
     @staticmethod
     def uniform(
         n_components: int,
@@ -327,8 +335,8 @@ def dwell_intervals(tau_min: float, grid: TimeGrid) -> int:
     Guards against floating-point noise in the quotient so that an exact
     multiple of the step maps to the exact integer.
     """
-    if tau_min <= 0:
-        raise DimensionError(f"dwell time must be positive, got {tau_min}")
+    if not 0 < tau_min < math.inf:
+        raise DimensionError(f"dwell time must be positive and finite, got {tau_min}")
     quotient = tau_min / grid.step
     return max(1, math.ceil(quotient - 1e-9))
 
@@ -448,29 +456,13 @@ def check_feasible(
                 f"path has {v.n_components} components, spec has {spec.n_components}"
             )
         for c in range(spec.n_components):
-            violations.extend(
-                _run_violations(
-                    v.values[:, c],
-                    c,
-                    spec.min_dwell[c],
-                    None if spec.max_dwell is None else spec.max_dwell[c],
-                    None if spec.max_switches is None else spec.max_switches[c],
-                )
-            )
+            violations.extend(_run_violations(v.values[:, c], c, *spec.component(c)))
     else:
         ones_per_row = (v.values == 1).sum(axis=1)
         if not (ones_per_row == 1).all():
             raise RepresentationError("modewise checks need one-hot rows")
         mode_sequence = v.values.argmax(axis=1)
-        violations.extend(
-            _run_violations(
-                mode_sequence,
-                0,
-                spec.min_dwell[0],
-                None if spec.max_dwell is None else spec.max_dwell[0],
-                None if spec.max_switches is None else spec.max_switches[0],
-            )
-        )
+        violations.extend(_run_violations(mode_sequence, 0, *spec.component(0)))
     return FeasibilityReport(not violations, tuple(violations))
 
 

@@ -35,6 +35,7 @@ from .core import (
     ModeTable,
     RelaxedControlPath,
     TimeGrid,
+    _check_grid,
     onehot_to_binary,
 )
 from .errors import CapacityError, DimensionError, InfeasibleError
@@ -53,8 +54,7 @@ def sum_up_rounding(w: RelaxedControlPath, grid: TimeGrid) -> RelaxedControlPath
     activated (lowest index on ties).  The resulting deviation never exceeds
     (n_modes - 1) times the step.
     """
-    if w.grid != grid:
-        raise DimensionError("w lives on a different time grid")
+    _check_grid(w.grid, grid, "w")
     values = w.values
     n, m = values.shape
     chosen = np.zeros((n, m))
@@ -187,12 +187,18 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton):
     return sequence, total, dp
 
 
-def _component_params(spec: CombinatorialSpec, c: int):
-    return (
-        spec.min_dwell[c],
-        None if spec.max_dwell is None else spec.max_dwell[c],
-        None if spec.max_switches is None else spec.max_switches[c],
-    )
+def _project_bits(p: np.ndarray, spec: CombinatorialSpec, h: float) -> np.ndarray:
+    """Per-component dwell projection of bit weights ``p`` (one column each).
+
+    Column c of the result minimizes h * sum_k |bit_k - p[k, c]| under
+    component c's rule; the components are independent programs.
+    """
+    out = np.empty(p.shape, dtype=np.int64)
+    for c in range(p.shape[1]):
+        costs = np.column_stack((h * p[:, c], h * (1.0 - p[:, c])))
+        seq, _, _ = _solve_dwell_dp(costs, _DwellAutomaton(2, *spec.component(c)))
+        out[:, c] = seq
+    return out
 
 
 def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
@@ -203,8 +209,7 @@ def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
     programs; modewise specs run a single program over the one-hot columns.
     The returned path attains the global minimum of the projection cost.
     """
-    if v.grid != grid:
-        raise DimensionError("v lives on a different time grid")
+    _check_grid(v.grid, grid, "v")
     h = grid.step
     n = grid.n_intervals
     if spec.representation == COMPONENTWISE:
@@ -212,16 +217,7 @@ def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
             raise DimensionError(
                 f"path has {v.n_components} components, spec has {spec.n_components}"
             )
-        out = np.empty((n, v.n_components), dtype=np.int64)
-        for c in range(v.n_components):
-            column = v.values[:, c]
-            costs = np.empty((n, 2))
-            costs[:, 0] = h * column
-            costs[:, 1] = h * (1 - column)
-            automaton = _DwellAutomaton(2, *_component_params(spec, c))
-            seq, _, _ = _solve_dwell_dp(costs, automaton)
-            out[:, c] = seq
-        return BinaryControlPath(grid, out)
+        return BinaryControlPath(grid, _project_bits(v.values, spec, h))
     # Modewise: one DP over the selected-index sequence; indicator columns
     # differ in two entries, so each mismatched interval costs 2h.
     m = v.n_components
@@ -230,7 +226,7 @@ def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
         raise DimensionError("modewise projection needs one-hot rows")
     costs = np.full((n, m), 2.0 * h)
     costs[np.arange(n), selected] = 0.0
-    automaton = _DwellAutomaton(m, *_component_params(spec, 0))
+    automaton = _DwellAutomaton(m, *spec.component(0))
     seq, _, _ = _solve_dwell_dp(costs, automaton)
     out = np.zeros((n, m), dtype=np.int64)
     out[np.arange(n), seq] = 1
@@ -245,12 +241,10 @@ def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
     the plain projection when w is one-hot.  This is the projection step the
     alternating method uses in both variants.
     """
-    if w.grid != grid:
-        raise DimensionError("w lives on a different time grid")
+    _check_grid(w.grid, grid, "w")
     if w.n_modes != modes.n_modes:
         raise DimensionError("w columns do not match the mode table")
     h = grid.step
-    n = grid.n_intervals
     if spec.representation == COMPONENTWISE:
         if spec.n_components != modes.n_switches:
             raise DimensionError(
@@ -258,19 +252,12 @@ def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
                 f"{modes.n_switches}"
             )
         marginals = w.values @ modes.values.astype(np.float64)  # (N, M)
-        out = np.empty((n, modes.n_switches), dtype=np.int64)
-        for c in range(modes.n_switches):
-            p = marginals[:, c]
-            costs = np.column_stack((h * p, h * (1.0 - p)))
-            automaton = _DwellAutomaton(2, *_component_params(spec, c))
-            seq, _, _ = _solve_dwell_dp(costs, automaton)
-            out[:, c] = seq
-        return BinaryControlPath(grid, out)
+        return BinaryControlPath(grid, _project_bits(marginals, spec, h))
     pairwise = np.abs(
         modes.values[:, None, :] - modes.values[None, :, :]
     ).sum(axis=2)  # (M̃, M̃) 1-norm distances between configurations
     costs = h * (w.values @ pairwise.astype(np.float64))
-    automaton = _DwellAutomaton(modes.n_modes, *_component_params(spec, 0))
+    automaton = _DwellAutomaton(modes.n_modes, *spec.component(0))
     seq, _, _ = _solve_dwell_dp(costs, automaton)
     return BinaryControlPath(grid, modes.values[seq])
 
@@ -290,10 +277,10 @@ class CiapResult:
 
 def _ciap_scalars(spec: CombinatorialSpec, n_modes: int):
     if spec.representation == MODEWISE:
-        return _component_params(spec, 0)
+        return spec.component(0)
     if spec.n_components == 1 and n_modes == 2:
         # Single binary component: value switches and mode switches coincide.
-        return _component_params(spec, 0)
+        return spec.component(0)
     raise DimensionError(
         "constrained CIAP needs a modewise spec (or a single-component "
         "componentwise spec over two modes)"
@@ -311,8 +298,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     deeper nodes and then earlier creation, which dives to good incumbents
     quickly; expansions enumerate modes in ascending index order.
     """
-    if w.grid != grid:
-        raise DimensionError("w lives on a different time grid")
+    _check_grid(w.grid, grid, "w")
     n = grid.n_intervals
     m = w.n_modes
     h = grid.step
@@ -441,13 +427,13 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     # One automaton per constrained component, and each mode's value in each:
     # the mode index for a modewise spec, the switch bits for a componentwise one.
     if spec.representation == MODEWISE:
-        automata = (_DwellAutomaton(m, *_component_params(spec, 0)),)
+        automata = (_DwellAutomaton(m, *spec.component(0)),)
         mode_values = [(mode,) for mode in range(m)]
     elif spec.n_components != modes.n_switches:
         raise DimensionError("componentwise spec does not match the mode table")
     else:
         automata = tuple(
-            _DwellAutomaton(2, *_component_params(spec, c))
+            _DwellAutomaton(2, *spec.component(c))
             for c in range(spec.n_components)
         )
         mode_values = [tuple(int(b) for b in row) for row in modes.values]

@@ -10,6 +10,25 @@ from switchopt import cli
 from switchopt.cli import RECORD_KEYS, RunConfig, load_controls_csv
 
 
+def write_problem_file(tmp_path, **overrides):
+    """A two-node network file, 16 Euler steps over t in [0, 8]."""
+    problem = {
+        "nodes": ["src", "dst"],
+        "lines": [{"start": "src", "end": "dst", "length": 1.0}],
+        "switch_groups": [[0]],
+        "producers": [{"node": "src", "lower": 0.0, "upper": 2.0}],
+        "consumers": [{"node": "dst", "demand": [[0.0, 0.4], [8.0, 0.4]]}],
+        "volumes_per_line": 2,
+        "n_time_steps": 16,
+        "t_end": 8.0,
+        "tau_min": 1.0,
+    }
+    problem.update(overrides)
+    pfile = tmp_path / "net.yaml"
+    pfile.write_text(yaml.safe_dump(problem))
+    return pfile
+
+
 def run_config(tmp_path, **kwargs):
     base = dict(
         problem="fuller", method="sur", tau_min=0.05, n_intervals=40,
@@ -134,25 +153,46 @@ class TestRun:
         assert "e-" not in body and "E-" not in body
 
     def test_custom_problem_file(self, tmp_path):
-        problem = {
-            "nodes": ["src", "dst"],
-            "lines": [{"start": "src", "end": "dst", "length": 1.0}],
-            "switch_groups": [[0]],
-            "producers": [{"node": "src", "lower": 0.0, "upper": 2.0}],
-            "consumers": [{"node": "dst", "demand": [[0.0, 0.4], [8.0, 0.4]]}],
-            "volumes_per_line": 2,
-            "n_time_steps": 16,
-            "t_end": 8.0,
-            "tau_min": 1.0,
-        }
-        pfile = tmp_path / "net.yaml"
-        pfile.write_text(yaml.safe_dump(problem))
+        pfile = write_problem_file(tmp_path)
         record = cli.run(run_config(
             tmp_path, problem="custom-file", method="sur",
             problem_file=str(pfile), tau_min=1.0, n_intervals=16,
         ))
         assert record["error"] is None
         assert np.isfinite(record["objective"])
+
+    def test_custom_problem_record_echoes_the_file_settings(self, tmp_path):
+        pfile = write_problem_file(tmp_path)
+        record = cli.run(run_config(
+            tmp_path, problem="custom-file", method="sur", problem_file=str(pfile),
+            tau_min=0.5, n_intervals=100, volumes_per_line=3,
+        ))
+        ran = (record["tau_min"], record["n_intervals"], record["volumes_per_line"])
+        assert ran == (1.0, 16, 2)
+
+    def test_benchmark_patch_points_are_called(self, tmp_path, monkeypatch):
+        # bench/tracing.py times these module attributes; a call that bypasses
+        # one of them would silently zero that layer's metrics.
+        from switchopt import adm
+
+        targets = [
+            (cli, "adm_penalty"), (cli, "build_fuller"),
+            (adm, "solve_relaxed_poc"), (adm, "dwell_project_weighted"),
+            (adm, "sum_up_rounding"), (adm, "constrained_ciap"),
+        ]
+        calls = dict.fromkeys((name for _, name in targets), 0)
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        for module, name in targets:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        cli.run(run_config(tmp_path, method="adm-sur", n_intervals=20))
+        cli.run(run_config(tmp_path, method="ciap", n_intervals=20))
+        assert all(calls.values()), calls
 
 
 class TestMain:
@@ -240,6 +280,21 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_result.json"))
 
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"tau_min": float("nan")}, []),
+        ({"tau_min": float("inf")}, []),
+        ({"switch_groups": [[0]] * 17}, []),
+        ({"n_time_steps": 40}, ["--method", "oracle", "--n-intervals", "20"]),
+    ], ids=["tau-nan", "tau-inf", "17-switch-groups", "oracle-over-file-grid"])
+    def test_bad_problem_file_content_exit_two(self, tmp_path, capsys, overrides, flags):
+        pfile = write_problem_file(tmp_path, **overrides)
+        code = cli.main([
+            "run", "--method", "sur", "--out", str(tmp_path), "--problem",
+            "custom-file", "--problem-file", str(pfile), *flags,
+        ])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_file_plus_flag_override(self, tmp_path):
         cfg_file = tmp_path / "run.yaml"
         yaml.safe_dump(
@@ -293,6 +348,13 @@ class TestSweep:
         base = run_config(tmp_path)
         with pytest.raises(so.ConfigurationError):
             cli.sweep(base, ["sur"] * 11, tau_min_values=[0.01 * k for k in range(1, 11)])
+
+    def test_custom_problem_tau_sweep_is_config_error(self, tmp_path):
+        base = run_config(
+            tmp_path, problem="custom-file", problem_file=str(write_problem_file(tmp_path)),
+        )
+        with pytest.raises(so.ConfigurationError):
+            cli.sweep(base, ["sur"], tau_min_values=[0.5, 1.0, 2.0])
 
     def test_failed_cell_records_na(self, tmp_path):
         base = run_config(tmp_path, method="oracle", n_intervals=64)

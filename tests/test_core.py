@@ -32,6 +32,11 @@ class TestTimeGrid:
         assert so.dwell_intervals(0.049, g) == 10
         assert so.dwell_intervals(0.051, g) == 11
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+    def test_dwell_intervals_rejects_non_positive_or_non_finite(self, tau):
+        with pytest.raises(DimensionError):
+            so.dwell_intervals(tau, so.TimeGrid(0.0, 1.0, 10))
+
 
 class TestEnumerateModes:
     def test_single_switch(self):

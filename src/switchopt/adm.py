@@ -12,7 +12,7 @@ partial-optimality certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,12 @@ from .core import (
 )
 from .errors import DimensionError, InfeasibleError
 from .relaxed import RelaxedSolveOptions, solve_relaxed_poc
-from .rounding import constrained_ciap, dwell_project_weighted, sum_up_rounding
+from .rounding import (
+    _ciap_admissible,
+    constrained_ciap,
+    dwell_project_weighted,
+    sum_up_rounding,
+)
 from .simulate import (
     SwitchedSystem,
     integrate,
@@ -163,22 +168,34 @@ class AdmResult:
 
 def _feasibility(v: BinaryControlPath, spec: CombinatorialSpec,
                  grid: TimeGrid, system: SwitchedSystem):
-    """Feasibility report in the spec's own representation."""
+    """Feasibility report in the spec's own representation; a modewise spec
+    checks the mode-indicator path (one column per mode)."""
     if spec.representation == MODEWISE:
-        return check_feasible(
-            onehot_to_indicator(v, system), spec, grid
-        )
+        onehot = binary_to_onehot(v, system.modes)
+        v = BinaryControlPath(grid, onehot.values.astype(np.int64))
     return check_feasible(v, spec, grid)
 
 
-def onehot_to_indicator(v: BinaryControlPath, system: SwitchedSystem) -> BinaryControlPath:
-    """Mode-indicator binary path (one column per mode) of a configuration path."""
-    onehot = binary_to_onehot(v, system.modes)
-    return BinaryControlPath(v.grid, onehot.values.astype(np.int64))
+def _integer_result(system, grid, spec, u: ContinuousControlPath,
+                    w_onehot: RelaxedControlPath, v_tilde=None, **fields) -> AdmResult:
+    """Result whose control is the one-hot path ``w_onehot``.
+
+    The path is re-simulated with ``u`` and its binary form is checked
+    exactly against the constraint set.  ``v_tilde`` defaults to that binary
+    path; ``fields`` are the remaining ``AdmResult`` fields, where penalty,
+    rho, certificate and trace default to empty.
+    """
+    v = onehot_to_binary(w_onehot, system.modes)
+    fields = {"penalty_value": 0.0, "rho_final": 0.0, "p_eps_certificate": None,
+              "trace": (), **fields}
+    return AdmResult(
+        u_final=u, v_final=v, v_tilde_final=v if v_tilde is None else v_tilde,
+        objective=objective(system, integrate(system, grid, u, w_onehot)),
+        feasible=bool(_feasibility(v, spec, grid, system).feasible), **fields,
+    )
 
 
-@dataclass(frozen=True, eq=False)
-class _Point:
+class _Point(NamedTuple):
     """One lifted iterate: continuous controls, multipliers, projected path."""
 
     u: ContinuousControlPath
@@ -208,13 +225,12 @@ def _control_step(system, grid, v_tilde, rho, options: AdmOptions, warm):
     plain variant keeps them and reads the objective off the solve's value.
     """
     sol = solve_relaxed_poc(system, grid, v_tilde, rho, warm, options.solver_options())
-    if options.variant == ADM_SUR:
-        w_new = sum_up_rounding(sol.w, grid)
-        obj_new = objective(system, integrate(system, grid, sol.u, w_new))
-    else:
-        w_new = sol.w
-        obj_new = sol.value - rho * weighted_penalty_value(system, grid, sol.w, v_tilde)
+    w_new = sum_up_rounding(sol.w, grid) if options.variant == ADM_SUR else sol.w
     pen_new = weighted_penalty_value(system, grid, w_new, v_tilde)
+    obj_new = (
+        objective(system, integrate(system, grid, sol.u, w_new))
+        if options.variant == ADM_SUR else sol.value - rho * pen_new
+    )
     return sol, w_new, obj_new, pen_new, obj_new + rho * pen_new
 
 
@@ -231,10 +247,7 @@ def inner_alternation(system: SwitchedSystem, grid: TimeGrid,
     the best available relaxed solution.
     """
     eps_half = options.epsilon / 2.0
-    if isinstance(start_point, _Point):
-        point = start_point
-    else:
-        point = _Point(*start_point)
+    point = _Point(*start_point)
     u_it, w_it, v_tilde = point.u, point.w, point.v_tilde
     if solver_warm is None:
         solver_warm = (u_it, w_it)
@@ -298,19 +311,17 @@ def _certificate(system, grid, spec, rho, options, point: _Point) -> PEpsCertifi
     )
 
 
-def _binarize(system, grid, w: RelaxedControlPath) -> BinaryControlPath:
-    """Configuration path of a (near-)one-hot multiplier path.
+def _binarize(grid, w: RelaxedControlPath) -> RelaxedControlPath:
+    """Exact one-hot path of a (near-)one-hot multiplier path.
 
     Snaps rows within 1e-9 of a vertex; anything blunter is rounded by the
-    integral-gap rule first.
+    integral-gap rule.
     """
-    if w.is_onehot(tol=1e-9):
-        exact = np.zeros_like(w.values)
-        exact[np.arange(w.values.shape[0]), w.values.argmax(axis=1)] = 1.0
-        w = RelaxedControlPath(grid, exact)
-    else:
-        w = sum_up_rounding(w, grid)
-    return onehot_to_binary(w, system.modes)
+    if not w.is_onehot(tol=1e-9):
+        return sum_up_rounding(w, grid)
+    exact = np.zeros_like(w.values)
+    exact[np.arange(w.values.shape[0]), w.values.argmax(axis=1)] = 1.0
+    return RelaxedControlPath(grid, exact)
 
 
 def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
@@ -326,10 +337,10 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
     the binarized final iterate; ``feasible`` re-checks it against the
     constraint set exactly.
     """
-    if initial_guess is None:
-        point = default_initial_guess(system, grid)
-    else:
-        point = _Point(*initial_guess)
+    point = (
+        default_initial_guess(system, grid) if initial_guess is None
+        else _Point(*initial_guess)
+    )
     report = _feasibility(point.v_tilde, spec, grid, system)
     if not report.feasible:
         raise InfeasibleError(
@@ -353,28 +364,15 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
             converged = True
             break
 
-    v_final = _binarize(system, grid, point.w)
-    w_final_onehot = binary_to_onehot(v_final, system.modes)
-    obj_final = objective(system, integrate(system, grid, point.u, w_final_onehot))
-    penalty_value = weighted_penalty_value(system, grid, point.w, point.v_tilde)
-    feasible = bool(_feasibility(v_final, spec, grid, system).feasible)
     certificate = (
         _certificate(system, grid, spec, rho_final, options, point)
         if certified else None
     )
-    return AdmResult(
-        u_final=point.u,
-        v_final=v_final,
-        v_tilde_final=point.v_tilde,
-        objective=obj_final,
-        penalty_value=penalty_value,
-        rho_final=rho_final,
-        feasible=feasible,
-        p_eps_certificate=certificate,
-        trace=tuple(trace),
-        method="adm-sur" if options.variant == ADM_SUR else "adm",
-        converged=converged,
-        relaxed_w_final=point.w,
+    return _integer_result(
+        system, grid, spec, point.u, _binarize(grid, point.w), point.v_tilde,
+        penalty_value=penalty, rho_final=rho_final, p_eps_certificate=certificate,
+        trace=tuple(trace), method="adm-sur" if options.variant == ADM_SUR else "adm",
+        converged=converged, relaxed_w_final=point.w,
     )
 
 
@@ -398,24 +396,6 @@ def poc_lower_bound(system: SwitchedSystem, grid: TimeGrid,
     """Value of the relaxation; a lower bound for every binary feasible path
     once the relaxed solve is tight (exact for convex instances)."""
     return _poc_solution(system, grid, options).value
-
-
-def _rounded_result(system, grid, spec, sol, w_round: RelaxedControlPath,
-                    method: str, converged: bool) -> AdmResult:
-    """Result of a relaxed solve whose multipliers were rounded to ``w_round``.
-
-    The rounded path is re-simulated with the relaxed solve's u and checked
-    exactly against the constraint set.
-    """
-    v = onehot_to_binary(w_round, system.modes)
-    obj = objective(system, integrate(system, grid, sol.u, w_round))
-    feasible = bool(_feasibility(v, spec, grid, system).feasible)
-    return AdmResult(
-        u_final=sol.u, v_final=v, v_tilde_final=v,
-        objective=obj, penalty_value=0.0, rho_final=0.0,
-        feasible=feasible, p_eps_certificate=None, trace=(),
-        method=method, converged=converged, relaxed_w_final=sol.w,
-    )
 
 
 def lift_to_modewise(spec: CombinatorialSpec) -> CombinatorialSpec:
@@ -446,12 +426,12 @@ def ciap_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSp
     deviation).
     """
     sol = _poc_solution(system, grid, options)
-    spec_bnb = spec if (
-        spec.representation == MODEWISE
-        or (spec.n_components == 1 and system.modes.n_modes == 2)
-    ) else lift_to_modewise(spec)
+    spec_bnb = (
+        spec if _ciap_admissible(spec, system.modes.n_modes) else lift_to_modewise(spec)
+    )
     res = constrained_ciap(sol.w, spec_bnb, grid, max_nodes=max_nodes)
-    return _rounded_result(system, grid, spec, sol, res.control, "ciap", res.proven_optimal)
+    return _integer_result(system, grid, spec, sol.u, res.control, method="ciap",
+                           converged=res.proven_optimal, relaxed_w_final=sol.w)
 
 
 def sur_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
@@ -463,5 +443,5 @@ def sur_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpe
     dwell times).
     """
     sol = _poc_solution(system, grid, options)
-    w_round = sum_up_rounding(sol.w, grid)
-    return _rounded_result(system, grid, spec, sol, w_round, "sur", sol.converged)
+    return _integer_result(system, grid, spec, sol.u, sum_up_rounding(sol.w, grid),
+                           method="sur", converged=sol.converged, relaxed_w_final=sol.w)

@@ -145,30 +145,37 @@ class TranslinesConfig:
     representation: str = COMPONENTWISE
 
     def __post_init__(self):
-        if self.lambda_plus <= 0 or self.lambda_minus <= 0:
-            raise ConfigurationError("propagation speeds must be positive")
+        if not (0 < self.lambda_plus < np.inf and 0 < self.lambda_minus < np.inf):
+            raise ConfigurationError("propagation speeds must be positive and finite")
         b = np.asarray(self.damping, dtype=np.float64)
         if b.shape != (2, 2) or not np.allclose(b, b.T) or (b < 0).any():
             raise ConfigurationError("damping must be a symmetric non-negative 2x2 matrix")
+        counts = (self.volumes_per_line, self.n_time_steps)
+        if not all(isinstance(c, (int, np.integer)) for c in counts):
+            raise ConfigurationError("volume and time-step counts must be integers")
         if self.volumes_per_line < 1 or self.n_time_steps < 1 or self.t_end <= 0:
             raise ConfigurationError("discretization settings must be positive")
         names = set(self.nodes)
         for line in self.lines:
             if line.start not in names or line.end not in names:
                 raise ConfigurationError(f"line {line} references unknown nodes")
-            if line.length <= 0:
-                raise ConfigurationError("line lengths must be positive")
+            if not 0 < line.length < np.inf:
+                raise ConfigurationError("line lengths must be positive and finite")
         n_lines = len(self.lines)
         for group in self.switch_groups:
             for idx in group:
                 if not 0 <= idx < n_lines:
                     raise ConfigurationError(f"switch group entry {idx} is not a line")
-        for node, _, _ in self.producers:
+        for node, lower, upper in self.producers:
             if node not in names:
                 raise ConfigurationError(f"producer node {node} unknown")
+            if not (np.isfinite([lower, upper]).all() and lower <= upper):
+                raise ConfigurationError(f"producer {node} needs finite lower <= upper")
         for node, table in self.consumers:
             if node not in names:
                 raise ConfigurationError(f"consumer node {node} unknown")
+            if not np.isfinite(np.asarray(table, dtype=np.float64)).all():
+                raise ConfigurationError(f"demand table of {node} must be finite")
             ts = [t for t, _ in table]
             if not table or sorted(ts) != ts:
                 raise ConfigurationError("demand tables need sorted breakpoints")

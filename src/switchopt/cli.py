@@ -29,6 +29,7 @@ from .adm import (
     AdmOptions,
     AdmResult,
     PenaltySchedule,
+    _integer_result,
     _poc_solution,
     adm_penalty,
     ciap_heuristic,
@@ -208,14 +209,10 @@ def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
         u_values = (
             np.zeros((grid.n_intervals, 0)) if res.best_u is None else res.best_u
         )
-        result = AdmResult(
-            u_final=ContinuousControlPath(
-                grid, u_values, system.control_lower, system.control_upper
-            ),
-            v_final=res.best_control, v_tilde_final=res.best_control,
-            objective=res.best_value, penalty_value=0.0, rho_final=0.0,
-            feasible=True, p_eps_certificate=None, trace=(), method="oracle",
-            converged=res.proven_optimal,
+        u = ContinuousControlPath(grid, u_values, system.control_lower, system.control_upper)
+        result = _integer_result(
+            system, grid, spec, u, binary_to_onehot(res.best_control, system.modes),
+            method="oracle", converged=res.proven_optimal,
         )
         return result, {"proven_optimal": res.proven_optimal,
                         "nodes_explored": res.nodes_explored}

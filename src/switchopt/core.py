@@ -41,8 +41,10 @@ class TimeGrid:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"
             )
-        if self.n_intervals < 1:
-            raise DimensionError(f"n_intervals must be >= 1, got {self.n_intervals}")
+        if not isinstance(self.n_intervals, (int, np.integer)) or self.n_intervals < 1:
+            raise DimensionError(
+                f"n_intervals must be an integer >= 1, got {self.n_intervals!r}"
+            )
 
     @property
     def step(self) -> float:

@@ -24,10 +24,9 @@ from .core import (
     ContinuousControlPath,
     RelaxedControlPath,
     TimeGrid,
-    mode_deviation_costs,
 )
 from .errors import DimensionError, DivergenceError
-from .simulate import SwitchedSystem, _adjoint_values, _integrate_values
+from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _penalty_weights
 
 
 @dataclass(frozen=True)
@@ -102,12 +101,9 @@ class _PenalizedProblem:
         self.grid = grid
         self.rho = rho
         self.hold_w = hold_w
-        if rho > 0:
-            self.penalty_grad_w = rho * grid.step * mode_deviation_costs(
-                system.modes, v_tilde
-            )
-        else:
-            self.penalty_grad_w = None
+        self.penalty_grad_w = (
+            _penalty_weights(system, grid, v_tilde, rho) if rho > 0 else None
+        )
         self.lower = system.control_lower
         self.upper = system.control_upper
 

@@ -206,31 +206,22 @@ def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
     """Closest dwell-feasible binary path in the integrated 1-norm.
 
     Componentwise specs decompose into independent per-component dynamic
-    programs; modewise specs run a single program over the one-hot columns.
-    The returned path attains the global minimum of the projection cost.
+    programs.  A modewise indicator path is the weighted projection of its
+    own one-hot rows over the indicator modes, whose configurations differ
+    in two entries, so each mismatched interval costs 2h.  The returned path
+    attains the global minimum of the projection cost.
     """
     _check_grid(v.grid, grid, "v")
-    h = grid.step
-    n = grid.n_intervals
     if spec.representation == COMPONENTWISE:
         if v.n_components != spec.n_components:
             raise DimensionError(
                 f"path has {v.n_components} components, spec has {spec.n_components}"
             )
-        return BinaryControlPath(grid, _project_bits(v.values, spec, h))
-    # Modewise: one DP over the selected-index sequence; indicator columns
-    # differ in two entries, so each mismatched interval costs 2h.
-    m = v.n_components
-    selected = v.values.argmax(axis=1)
+        return BinaryControlPath(grid, _project_bits(v.values, spec, grid.step))
     if not ((v.values == 1).sum(axis=1) == 1).all():
         raise DimensionError("modewise projection needs one-hot rows")
-    costs = np.full((n, m), 2.0 * h)
-    costs[np.arange(n), selected] = 0.0
-    automaton = _DwellAutomaton(m, *spec.component(0))
-    seq, _, _ = _solve_dwell_dp(costs, automaton)
-    out = np.zeros((n, m), dtype=np.int64)
-    out[np.arange(n), seq] = 1
-    return BinaryControlPath(grid, out)
+    indicators = ModeTable(np.eye(v.n_components, dtype=np.int64))
+    return dwell_project_weighted(RelaxedControlPath(grid, v.values), indicators, spec, grid)
 
 
 def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
@@ -275,11 +266,15 @@ class CiapResult:
     proven_optimal: bool
 
 
+def _ciap_admissible(spec: CombinatorialSpec, n_modes: int) -> bool:
+    """Whether constrained CIAP can enforce ``spec`` on mode sequences: it is
+    modewise, or one binary component over two modes, whose value switches
+    and mode switches coincide."""
+    return spec.representation == MODEWISE or (spec.n_components == 1 and n_modes == 2)
+
+
 def _ciap_scalars(spec: CombinatorialSpec, n_modes: int):
-    if spec.representation == MODEWISE:
-        return spec.component(0)
-    if spec.n_components == 1 and n_modes == 2:
-        # Single binary component: value switches and mode switches coincide.
+    if _ciap_admissible(spec, n_modes):
         return spec.component(0)
     raise DimensionError(
         "constrained CIAP needs a modewise spec (or a single-component "

@@ -231,11 +231,15 @@ def objective(system: SwitchedSystem, trajectory: Trajectory) -> float:
 
 
 def _penalty_weights(system: SwitchedSystem, grid: TimeGrid,
-                     v_tilde: BinaryControlPath) -> np.ndarray:
-    """step * |r^i - v_tilde_k|_1 table used by the coupling penalty."""
+                     v_tilde: BinaryControlPath, rho: float = 1.0) -> np.ndarray:
+    """rho * step * |r^i - v_tilde_k|_1 table of the coupling penalty.
+
+    Also the penalty's w-gradient; at rho = 1 it is the unweighted table
+    exactly, since 1.0 * step is exact.
+    """
     if v_tilde.grid != grid:
         raise DimensionError("penalty reference lives on a different grid")
-    return grid.step * mode_deviation_costs(system.modes, v_tilde)
+    return rho * grid.step * mode_deviation_costs(system.modes, v_tilde)
 
 
 def penalized_objective(system: SwitchedSystem, grid: TimeGrid,
@@ -344,7 +348,7 @@ def adjoint_gradient(system: SwitchedSystem, grid: TimeGrid,
     _check_control_shapes(system, grid, u, w)
     if rho < 0:
         raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
-    pen = rho * _penalty_weights(system, grid, v_tilde) if rho > 0 else None
+    pen = _penalty_weights(system, grid, v_tilde, rho) if rho > 0 else None
     _, grad_u, grad_w = _adjoint_values(system, grid, u.values, w.values, pen)
     return grad_u, grad_w
 

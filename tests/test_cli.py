@@ -87,6 +87,32 @@ class TestRun:
         trace = json.loads((tmp_path / record["trace_file"]).read_text())
         assert trace["proven_optimal"] is True
 
+    @pytest.mark.parametrize("problem", ["translines-4x2", "fuller-8"])
+    def test_oracle_result_is_the_enumerated_optimum(self, problem):
+        if problem == "fuller-8":
+            system, grid, spec = so.build_fuller(so.FullerConfig(tau_min=0.2, n_intervals=8))
+        else:
+            cfg = so.translines_subgrid_config(volumes_per_line=2, n_time_steps=52)
+            system, grid, spec = so.build_translines(so.TranslinesConfig(
+                nodes=cfg.nodes, lines=cfg.lines, switch_groups=cfg.switch_groups,
+                producers=cfg.producers,
+                consumers=tuple(
+                    (node, ((0.0, q0), (2.0, q0)))
+                    for (node, _), q0 in zip(cfg.consumers, (0.4, 0.3, 0.5, 0.2, 0.3))
+                ),
+                volumes_per_line=1, n_time_steps=4, t_end=2.0, tau_min=1.0,
+            ))
+        result, _ = cli._execute(
+            RunConfig(method="oracle"), so.PenaltySchedule(), system, grid, spec
+        )
+        best = so.global_oracle(system, grid, spec)
+        # The re-simulated binary control reproduces the enumerated value.
+        assert result.objective == best.best_value
+        assert result.feasible
+        assert np.array_equal(result.v_final.values, best.best_control.values)
+        best_u = np.zeros((grid.n_intervals, 0)) if best.best_u is None else best.best_u
+        assert np.array_equal(result.u_final.values, best_u)
+
     def test_oracle_grid_cap_is_config_error(self, tmp_path):
         with pytest.raises(so.ConfigurationError):
             cli.run(run_config(tmp_path, method="oracle", n_intervals=50))
@@ -285,7 +311,17 @@ class TestMain:
         ({"tau_min": float("inf")}, []),
         ({"switch_groups": [[0]] * 17}, []),
         ({"n_time_steps": 40}, ["--method", "oracle", "--n-intervals", "20"]),
-    ], ids=["tau-nan", "tau-inf", "17-switch-groups", "oracle-over-file-grid"])
+        ({"volumes_per_line": 1.5}, []),
+        ({"volumes_per_line": 2.0}, []),
+        ({"n_time_steps": 16.5}, []),
+        ({"lambda_plus": float("nan")}, []),
+        ({"consumers": [{"node": "dst", "demand": [[0.0, float("nan")], [8.0, 0.4]]}]}, []),
+        ({"lines": [{"start": "src", "end": "dst", "length": float("nan")}]}, []),
+        ({"producers": [{"node": "src", "lower": 0.0, "upper": float("inf")}]}, []),
+        ({"producers": [{"node": "src", "lower": 3.0, "upper": 2.0}]}, []),
+    ], ids=["tau-nan", "tau-inf", "17-switch-groups", "oracle-over-file-grid",
+            "volumes-1.5", "volumes-2.0", "steps-16.5", "speed-nan", "demand-nan",
+            "length-nan", "upper-inf", "lower-above-upper"])
     def test_bad_problem_file_content_exit_two(self, tmp_path, capsys, overrides, flags):
         pfile = write_problem_file(tmp_path, **overrides)
         code = cli.main([

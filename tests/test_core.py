@@ -26,6 +26,14 @@ class TestTimeGrid:
         with pytest.raises(DimensionError):
             so.TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("n", [16.5, 2.0, "4", None])
+    def test_rejects_non_integral_interval_count(self, n):
+        with pytest.raises(DimensionError):
+            so.TimeGrid(0.0, 1.0, n)
+
+    def test_accepts_numpy_integer_interval_count(self):
+        assert so.TimeGrid(0.0, 1.0, np.int64(4)).step == 0.25
+
     def test_dwell_intervals_handles_float_noise(self):
         g = so.TimeGrid(0.0, 1.0, 200)
         assert so.dwell_intervals(0.05, g) == 10

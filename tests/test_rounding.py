@@ -231,6 +231,103 @@ class TestDwellProject:
         assert so.check_feasible(out, spec, g).feasible
 
 
+class TestProjectionProperties:
+    """Seeded random small specs: both projections against brute force.
+
+    Each draw picks a min dwell, and with even odds a max dwell and a switch
+    budget; every result must pass ``check_feasible`` and attain the least
+    cost over ``all_feasible_sequences``.
+    """
+
+    @staticmethod
+    def draw(rng, n_components, representation):
+        n = int(rng.integers(3, 8))
+        d = int(rng.integers(1, 4))
+        dmax = d + int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+        budget = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
+        spec = so.CombinatorialSpec.uniform(n_components, d, dmax, budget, representation)
+        return so.TimeGrid(0.0, 0.5 * n, n), spec, (d, dmax, budget)
+
+    @staticmethod
+    def component_sequences(n, n_components, rule):
+        """Every feasible bit matrix, as tuples of rows."""
+        columns = all_feasible_sequences(n, 2, *rule)
+        return [tuple(zip(*cols)) for cols in itertools.product(columns, repeat=n_components)]
+
+    def test_modewise_plain_on_indicator_paths(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            m = int(rng.integers(2, 5))
+            g, spec, rule = self.draw(rng, 1, so.MODEWISE)
+            n = g.n_intervals
+            selected = rng.integers(0, m, n)
+            v = so.BinaryControlPath(g, np.eye(m, dtype=np.int64)[selected])
+            out = so.dwell_project(v, spec, g)
+            assert so.check_feasible(out, spec, g).feasible
+            want = min(
+                2.0 * g.step * sum(a != b for a, b in zip(seq, selected))
+                for seq in all_feasible_sequences(n, m, *rule)
+            )
+            assert so.penalty_term(v, out, g) == pytest.approx(want, abs=1e-12)
+
+    def test_modewise_weighted(self):
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            m = int(rng.integers(2, 5))
+            modes = so.ModeTable(so.enumerate_modes(2).values[:m])
+            g, spec, rule = self.draw(rng, 1, so.MODEWISE)
+            n = g.n_intervals
+            w = so.RelaxedControlPath(g, rng.dirichlet(np.ones(m), size=n))
+            out = so.dwell_project_weighted(w, modes, spec, g)
+            # Indicator path of the chosen modes, for the modewise checker.
+            seq_out = [modes.index_of(row) for row in out.values]
+            indicator = so.BinaryControlPath(g, np.eye(m, dtype=np.int64)[seq_out])
+            assert so.check_feasible(indicator, spec, g).feasible
+            dist = np.abs(modes.values[:, None, :] - modes.values[None, :, :]).sum(axis=2)
+            costs = g.step * (w.values @ dist)
+
+            def cost(seq):
+                return float(costs[np.arange(n), list(seq)].sum())
+
+            want = min(cost(seq) for seq in all_feasible_sequences(n, m, *rule))
+            assert cost(seq_out) == pytest.approx(want, abs=1e-12)
+
+    def test_componentwise_plain(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            switches = int(rng.integers(1, 3))
+            g, spec, rule = self.draw(rng, switches, so.COMPONENTWISE)
+            n = g.n_intervals
+            bits = rng.integers(0, 2, (n, switches))
+            v = so.BinaryControlPath(g, bits)
+            out = so.dwell_project(v, spec, g)
+            assert so.check_feasible(out, spec, g).feasible
+            want = min(
+                g.step * float(np.abs(np.array(rows) - bits).sum())
+                for rows in self.component_sequences(n, switches, rule)
+            )
+            assert so.penalty_term(v, out, g) == pytest.approx(want, abs=1e-12)
+
+    def test_componentwise_weighted(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            switches = int(rng.integers(1, 3))
+            modes = so.enumerate_modes(switches)
+            g, spec, rule = self.draw(rng, switches, so.COMPONENTWISE)
+            n = g.n_intervals
+            w = so.RelaxedControlPath(g, rng.dirichlet(np.ones(modes.n_modes), size=n))
+            out = so.dwell_project_weighted(w, modes, spec, g)
+            assert so.check_feasible(out, spec, g).feasible
+
+            def cost(rows):
+                rows = np.asarray(rows)
+                dist = np.abs(modes.values[None, :, :] - rows[:, None, :]).sum(axis=2)
+                return g.step * float((w.values * dist).sum())
+
+            want = min(cost(rows) for rows in self.component_sequences(n, switches, rule))
+            assert cost(out.values) == pytest.approx(want, abs=1e-12)
+
+
 class TestDwellDpTable:
     def test_costs_non_decreasing_along_predecessor_chains(self):
         from switchopt.rounding import _DwellAutomaton, _solve_dwell_dp

@@ -31,7 +31,6 @@ from .benchmarks import (
     TranslinesConfig,
     build_fuller,
     build_translines,
-    translines_extended_tree_config,
     translines_subgrid_config,
 )
 from .core import (

@@ -27,7 +27,7 @@ from .core import (
     check_feasible,
     onehot_to_binary,
 )
-from .errors import DimensionError, InfeasibleError
+from .errors import DimensionError
 from .relaxed import RelaxedSolveOptions, solve_relaxed_poc
 from .rounding import (
     _ciap_admissible,
@@ -326,27 +326,19 @@ def _binarize(grid, w: RelaxedControlPath) -> RelaxedControlPath:
 
 def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
                 schedule: PenaltySchedule = PenaltySchedule(),
-                options: AdmOptions = AdmOptions(),
-                initial_guess=None) -> AdmResult:
+                options: AdmOptions = AdmOptions()) -> AdmResult:
     """Run the full penalty alternation until the coupling gap closes.
 
-    The outer loop sweeps the penalty ladder (first sweep at rho = 0),
-    warm-starting each sweep from the previous one's result, and stops once
-    the integrated multiplier/projection gap of the sweep result drops below
-    ``penalty_stop_tol`` or the ladder is exhausted.  The reported control is
-    the binarized final iterate; ``feasible`` re-checks it against the
-    constraint set exactly.
+    The alternation starts from ``default_initial_guess``: its projected path
+    is the constant first mode, which has no switch and so meets every dwell
+    and budget rule.  The outer loop sweeps the penalty ladder (first sweep
+    at rho = 0), warm-starting each sweep from the previous one's result, and
+    stops once the integrated multiplier/projection gap of the sweep result
+    drops below ``penalty_stop_tol`` or the ladder is exhausted.  The
+    reported control is the binarized final iterate; ``feasible`` re-checks
+    it against the constraint set exactly.
     """
-    point = (
-        default_initial_guess(system, grid) if initial_guess is None
-        else _Point(*initial_guess)
-    )
-    report = _feasibility(point.v_tilde, spec, grid, system)
-    if not report.feasible:
-        raise InfeasibleError(
-            f"initial projected path violates the constraint set: {report.violations[:3]}"
-        )
-
+    point = default_initial_guess(system, grid)
     trace = []
     solver_warm = None
     converged = False
@@ -417,8 +409,7 @@ def lift_to_modewise(spec: CombinatorialSpec) -> CombinatorialSpec:
 
 
 def ciap_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
-                   options: Optional[RelaxedSolveOptions] = None,
-                   max_nodes: int = 1_000_000) -> AdmResult:
+                   options: Optional[RelaxedSolveOptions] = None) -> AdmResult:
     """Relaxed solve followed by the dwell-constrained integral approximation.
 
     Multi-component specs are lifted to a conservative mode-level dwell, so
@@ -429,7 +420,7 @@ def ciap_heuristic(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSp
     spec_bnb = (
         spec if _ciap_admissible(spec, system.modes.n_modes) else lift_to_modewise(spec)
     )
-    res = constrained_ciap(sol.w, spec_bnb, grid, max_nodes=max_nodes)
+    res = constrained_ciap(sol.w, spec_bnb, grid)
     return _integer_result(system, grid, spec, sol.u, res.control, method="ciap",
                            converged=res.proven_optimal, relaxed_w_final=sol.w)
 

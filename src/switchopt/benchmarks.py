@@ -25,6 +25,7 @@ from .core import (
     MODEWISE,
     CombinatorialSpec,
     TimeGrid,
+    _is_int,
     dwell_intervals,
     enumerate_modes,
 )
@@ -99,7 +100,6 @@ def build_fuller(config: FullerConfig = FullerConfig()):
         control_lower=np.zeros(0),
         control_upper=np.zeros(0),
         integrator=RK4,
-        name="fuller",
         state_names=("y1", "y2", "running_cost"),
         rhs_stack=rhs_stack,
         combined_jac_state=combined_jac_state,
@@ -150,8 +150,7 @@ class TranslinesConfig:
         b = np.asarray(self.damping, dtype=np.float64)
         if b.shape != (2, 2) or not np.allclose(b, b.T) or (b < 0).any():
             raise ConfigurationError("damping must be a symmetric non-negative 2x2 matrix")
-        counts = (self.volumes_per_line, self.n_time_steps)
-        if not all(isinstance(c, (int, np.integer)) for c in counts):
+        if not all(map(_is_int, (self.volumes_per_line, self.n_time_steps))):
             raise ConfigurationError("volume and time-step counts must be integers")
         if self.volumes_per_line < 1 or self.n_time_steps < 1 or self.t_end <= 0:
             raise ConfigurationError("discretization settings must be positive")
@@ -164,7 +163,7 @@ class TranslinesConfig:
         n_lines = len(self.lines)
         for group in self.switch_groups:
             for idx in group:
-                if not 0 <= idx < n_lines:
+                if not (_is_int(idx) and 0 <= idx < n_lines):
                     raise ConfigurationError(f"switch group entry {idx} is not a line")
         for node, lower, upper in self.producers:
             if node not in names:
@@ -384,7 +383,6 @@ def build_translines(config: TranslinesConfig):
         control_lower=np.array([lo for _, lo, _ in config.producers], dtype=np.float64),
         control_upper=np.array([hi for _, _, hi in config.producers], dtype=np.float64),
         integrator=EULER,
-        name="translines",
         state_names=tuple(names),
         rhs_stack=rhs_stack,
         combined_jac_state=combined_jac_state,
@@ -452,39 +450,4 @@ def translines_subgrid_config(volumes_per_line: int = 4, n_time_steps: int = 104
         n_time_steps=n_time_steps,
         tau_min=tau_min,
         representation=representation,
-    )
-
-
-def translines_extended_tree_config(volumes_per_line: int = 2,
-                                    n_time_steps: int = 52,
-                                    tau_min: float = 1.0) -> TranslinesConfig:
-    """Template of a larger tree-shaped network; synthetic topology only."""
-    nodes = ("gen1", "gen2", "hub", "n1", "n2", "n3",
-             "cons1", "cons2", "cons3", "cons4")
-    lines = (
-        TransLine("gen1", "hub"),   # 0
-        TransLine("gen2", "hub"),   # 1
-        TransLine("hub", "n1"),     # 2, group 0
-        TransLine("hub", "n2"),     # 3
-        TransLine("n1", "cons1"),   # 4
-        TransLine("n1", "n3"),      # 5, group 1
-        TransLine("n2", "cons2"),   # 6
-        TransLine("n2", "cons3"),   # 7
-        TransLine("n3", "cons4"),   # 8
-    )
-    consumers = (
-        ("cons1", ((0.0, 0.3), (26.0, 0.3))),
-        ("cons2", ((0.0, 0.2), (13.0, 0.2), (13.5, 0.5), (26.0, 0.5))),
-        ("cons3", ((0.0, 0.4), (26.0, 0.4))),
-        ("cons4", ((0.0, 0.0), (6.0, 0.0), (6.5, 0.35), (26.0, 0.35))),
-    )
-    return TranslinesConfig(
-        nodes=nodes,
-        lines=lines,
-        switch_groups=((2,), (5,)),
-        producers=(("gen1", 0.0, 2.0), ("gen2", 0.0, 2.0)),
-        consumers=consumers,
-        volumes_per_line=volumes_per_line,
-        n_time_steps=n_time_steps,
-        tau_min=tau_min,
     )

@@ -65,6 +65,7 @@ PROBLEMS = ("fuller", "translines", "custom-file")
 METHODS = ("poc", "sur", "ciap", "adm", "adm-sur", "oracle")
 
 ENV_OUTPUT_DIR = "SWITCHOPT_OUT"
+MAX_SWEEP_CELLS = 100
 
 #: Fixed key order of the per-run result record.  ``seed`` is recorded
 #: only: no solver draws random numbers, so it does not change any result.
@@ -378,8 +379,7 @@ def load_controls_csv(path, grid, system):
     return u, None, RelaxedControlPath(grid, w_vals)
 
 
-def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None,
-          max_cells: int = 100) -> Path:
+def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None) -> Path:
     """Cross one swept parameter with a method list into a summary table.
 
     Each cell runs independently and failures are recorded as NA with the
@@ -396,9 +396,9 @@ def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None,
     values = list(
         rho_factor_values if rho_factor_values is not None else (tau_min_values or [])
     )
-    if len(values) * len(methods) > max_cells:
+    if len(values) * len(methods) > MAX_SWEEP_CELLS:
         raise ConfigurationError(
-            f"sweep of {len(values) * len(methods)} cells exceeds the cap {max_cells}"
+            f"sweep of {len(values) * len(methods)} cells exceeds the cap {MAX_SWEEP_CELLS}"
         )
     out_dir = Path(base.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -438,43 +438,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shared(p):
-        p.add_argument("--problem", choices=PROBLEMS, default=None)
-        p.add_argument("--tau-min", type=float, default=None)
-        p.add_argument("--n-intervals", type=int, default=None)
-        p.add_argument("--volumes", type=int, default=None,
+        # Every dest but --config's is the RunConfig field the flag sets.
+        p.add_argument("--problem", choices=PROBLEMS)
+        p.add_argument("--tau-min", type=float)
+        p.add_argument("--n-intervals", type=int)
+        p.add_argument("--volumes", type=int, dest="volumes_per_line",
                        help="finite volumes per line (translines only)")
-        p.add_argument("--eps", type=float, default=None)
-        p.add_argument("--rho-init", type=float, default=None)
-        p.add_argument("--rho-factor", type=float, default=None)
-        p.add_argument("--rho-max", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--config", default=None, help="YAML file with the same keys")
-        p.add_argument("--problem-file", default=None,
+        p.add_argument("--eps", type=float, dest="epsilon")
+        p.add_argument("--rho-init", type=float, dest="rho_initial")
+        p.add_argument("--rho-factor", type=float, dest="rho_increment_factor")
+        p.add_argument("--rho-max", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", dest="output_path", help="output directory")
+        p.add_argument("--config", help="YAML file with the same keys")
+        p.add_argument("--problem-file",
                        help="network description for custom-file problems")
 
     run_p = sub.add_parser("run", help="execute one solver pipeline")
     add_shared(run_p)
-    run_p.add_argument("--method", choices=METHODS, default=None)
+    run_p.add_argument("--method", choices=METHODS)
 
     sweep_p = sub.add_parser("sweep", help="run a small parameter/method grid")
     add_shared(sweep_p)
     sweep_p.add_argument("--methods", default="",
                          help="comma-separated method list")
-    sweep_p.add_argument("--tau-min-values", default=None,
+    sweep_p.add_argument("--tau-min-values",
                          help="comma-separated dwell times (rows)")
-    sweep_p.add_argument("--rho-factor-values", default=None,
+    sweep_p.add_argument("--rho-factor-values",
                          help="comma-separated penalty increment factors (rows)")
     return parser
 
-
-_FLAG_TO_FIELD = {
-    "problem": "problem", "method": "method", "tau_min": "tau_min",
-    "n_intervals": "n_intervals", "volumes": "volumes_per_line",
-    "eps": "epsilon", "rho_init": "rho_initial",
-    "rho_factor": "rho_increment_factor", "rho_max": "rho_max",
-    "seed": "seed", "out": "output_path", "problem_file": "problem_file",
-}
 
 _FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 
@@ -496,10 +489,10 @@ def _config_from_args(args) -> RunConfig:
                 except ValueError as exc:
                     raise ConfigurationError(f"config key {key!r}: {exc}") from exc
             setattr(config, key, value)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    for key in _FIELD_DEFAULTS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, field_name, value)
+            setattr(config, key, value)
     if config.output_path == ".":
         config.output_path = os.environ.get(ENV_OUTPUT_DIR, ".")
     return config

@@ -28,6 +28,11 @@ SOS1_TOL = 1e-12
 MAX_ENUMERATED_SWITCHES = 16
 
 
+def _is_int(x) -> bool:
+    """True for Python and numpy integers; a bool is not a count."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform partition of [t_start, t_end] into n_intervals pieces."""
@@ -41,7 +46,7 @@ class TimeGrid:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"
             )
-        if not isinstance(self.n_intervals, (int, np.integer)) or self.n_intervals < 1:
+        if not _is_int(self.n_intervals) or self.n_intervals < 1:
             raise DimensionError(
                 f"n_intervals must be an integer >= 1, got {self.n_intervals!r}"
             )

@@ -28,21 +28,19 @@ from .core import (
 from .errors import DimensionError, DivergenceError
 from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _penalty_weights
 
+# Armijo sufficient-decrease fraction and the step shrink per rejected trial.
+ARMIJO_C = 1e-4
+BACKTRACK_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class RelaxedSolveOptions:
     stationarity_tol: float = 1e-6
     max_iterations: int = 5000
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.stationarity_tol < np.inf and 0 < self.initial_step < np.inf
-                and self.max_iterations > 0):
+        if not (0 < self.stationarity_tol < np.inf and self.max_iterations > 0):
             raise DimensionError("solver tolerances and limits must be positive and finite")
-        if not 0 < self.armijo_c < 1 or not 0 < self.backtrack_factor < 1:
-            raise DimensionError("armijo_c and backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +152,7 @@ def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray
     res = _stationarity(problem, u_vals, w_vals, grad_u, grad_w)
 
     iterations = 0
-    step = options.initial_step
+    step = 1.0
     prev_u = prev_w = prev_gu = prev_gw = None
     converged = res <= options.stationarity_tol
 
@@ -184,10 +182,10 @@ def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray
                 f_new, sweep = problem.value(u_new, w_new)
             except DivergenceError:
                 f_new, sweep = np.inf, None  # a trial that blows up fails like an Armijo test
-            if f_new <= fx + options.armijo_c * decrease:
+            if f_new <= fx + ARMIJO_C * decrease:
                 accepted = True
                 break
-            t *= options.backtrack_factor
+            t *= BACKTRACK_FACTOR
         if not accepted:
             break  # machine-precision stationary; keep the current iterate
 

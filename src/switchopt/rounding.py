@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -401,9 +401,7 @@ class OracleResult:
 
 
 def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
-                  spec: CombinatorialSpec,
-                  inner_solver: Optional[Callable] = None,
-                  max_nodes: int = 10_000_000) -> OracleResult:
+                  spec: CombinatorialSpec, max_nodes: int = 10_000_000) -> OracleResult:
     """Exhaustive search over dwell-feasible mode sequences on a coarse grid.
 
     Depth-first enumeration in ascending mode-index order; each feasible
@@ -436,9 +434,6 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     transitions = [[dict(succ) for succ in a.successors] for a in automata]
 
     has_u = system.control_dim > 0
-    solve_leaf = inner_solver or (
-        lambda w_values: best_response_continuous(system, grid_coarse, w_values)
-    )
     h = grid_coarse.step
     u_stub = np.zeros(system.control_dim)
 
@@ -470,7 +465,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         if depth == n - 1:
             if has_u:
                 w_values = onehot_rows[np.array(seq)]
-                u_vals, value = solve_leaf(w_values)
+                u_vals, value = best_response_continuous(system, grid_coarse, w_values)
             else:
                 u_vals = None
                 value = float(system.terminal_cost(y))

@@ -52,7 +52,6 @@ def make_zero_system(n_modes=2, state_dim=1, control_dim=0):
         initial_state=np.zeros(state_dim),
         control_lower=np.zeros(control_dim),
         control_upper=np.ones(control_dim),
-        name="zero",
     )
 
 
@@ -86,5 +85,4 @@ def make_blowup_system(controlled=False):
         initial_state=np.ones(1),
         control_lower=np.zeros(n_u),
         control_upper=np.ones(n_u),
-        name="blowup",
     )

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import switchopt as so
-from switchopt.errors import DimensionError, InfeasibleError
+from switchopt import adm
+from switchopt.errors import DimensionError
 
 from conftest import make_zero_system
 
@@ -157,6 +158,35 @@ class TestAdmPenalty:
         assert res.penalty_value < 1e-4
         assert res.converged
 
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_default_start_meets_every_spec(self, fuller_50, n_modes):
+        # The alternation starts from this path without checking it: a
+        # constant path has no switch, so no dwell or budget rule can fail.
+        system, grid, _ = fuller_50
+        if n_modes == 4:
+            system = make_zero_system(n_modes=4)
+        v0 = so.default_initial_guess(system, grid).v_tilde
+        n_switches = system.modes.n_switches
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            modewise = bool(rng.integers(2))
+            n_comp = 1 if modewise else n_switches
+            min_dwell = rng.integers(1, grid.n_intervals + 1, size=n_comp)
+            spec = so.CombinatorialSpec(
+                min_dwell=tuple(min_dwell),
+                max_dwell=(tuple(min_dwell + rng.integers(0, 5, size=n_comp))
+                           if rng.integers(2) else None),
+                max_switches=(tuple(rng.integers(0, 3, size=n_comp))
+                              if rng.integers(2) else None),
+                representation=so.MODEWISE if modewise else so.COMPONENTWISE,
+            )
+            assert adm._feasibility(v0, spec, grid, system).feasible, spec
+
+    def test_spec_not_matching_mode_table_rejected(self, fuller_50):
+        system, grid, _ = fuller_50
+        with pytest.raises(DimensionError):
+            so.adm_penalty(system, grid, so.CombinatorialSpec.uniform(2, 2))
+
     @pytest.mark.parametrize("variant", [so.ADM_SUR, so.ADM_PLAIN])
     def test_fuller_end_to_end(self, fuller_100, variant):
         system, grid, spec = fuller_100
@@ -169,19 +199,6 @@ class TestAdmPenalty:
         w = so.binary_to_onehot(res.v_final, system.modes)
         direct = so.objective(system, so.integrate(system, grid, res.u_final, w))
         assert res.objective == pytest.approx(direct, rel=1e-12)
-
-    def test_infeasible_initial_guess_rejected(self, fuller_50):
-        system, grid, spec = fuller_50
-        guess = so.default_initial_guess(system, grid)
-        bad_v = so.BinaryControlPath(
-            grid, np.array([0, 1] * 25).reshape(-1, 1)
-        )
-        with pytest.raises(InfeasibleError):
-            so.adm_penalty(
-                system, grid, spec,
-                initial_guess=(guess.u, guess.w, bad_v),
-                options=fast_options(),
-            )
 
     def test_certificate_slacks(self, fuller_100):
         system, grid, spec = fuller_100

@@ -217,17 +217,6 @@ class TestTranslines:
         with pytest.raises(ConfigurationError):
             single_line_config(consumers=(("dst", ((0.0, 0.5), (2.0, 0.5))),))
 
-    def test_extended_tree_template_builds(self):
-        system, grid, spec = so.build_translines(so.translines_extended_tree_config())
-        assert system.modes.n_modes == 4
-        assert spec.n_components == 2
-        w = so.RelaxedControlPath.uniform(grid, 4)
-        u = so.ContinuousControlPath.midpoint(
-            grid, system.control_lower, system.control_upper
-        )
-        traj = so.integrate(system, grid, u, w)
-        assert np.isfinite(traj.states).all()
-
     def test_modewise_representation_option(self):
         cfg = so.translines_subgrid_config(
             volumes_per_line=2, n_time_steps=52, representation=so.MODEWISE

@@ -222,6 +222,29 @@ class TestRun:
 
 
 class TestMain:
+    SHARED_FLAGS = {
+        "--problem": ("problem", "translines"), "--tau-min": ("tau_min", 0.25),
+        "--n-intervals": ("n_intervals", 7), "--volumes": ("volumes_per_line", 3),
+        "--eps": ("epsilon", 0.125), "--rho-init": ("rho_initial", 0.5),
+        "--rho-factor": ("rho_increment_factor", 3.0), "--rho-max": ("rho_max", 64.0),
+        "--seed": ("seed", 9), "--out": ("output_path", "outdir"),
+        "--problem-file": ("problem_file", "net.yaml"),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_every_shared_flag_sets_its_field(self, command):
+        argv = [command]
+        for flag, (_, value) in self.SHARED_FLAGS.items():
+            argv += [flag, str(value)]
+        if command == "run":
+            argv += ["--method", "oracle"]
+        config = cli._config_from_args(cli._build_parser().parse_args(argv))
+        expected = dict(self.SHARED_FLAGS.values())
+        expected["method"] = "oracle" if command == "run" else RunConfig.method
+        for field, value in expected.items():
+            assert getattr(config, field) == value, field
+        assert config.label is None
+
     def test_run_exit_zero(self, tmp_path, capsys):
         code = cli.main([
             "run", "--problem", "fuller", "--method", "sur",
@@ -319,9 +342,15 @@ class TestMain:
         ({"lines": [{"start": "src", "end": "dst", "length": float("nan")}]}, []),
         ({"producers": [{"node": "src", "lower": 0.0, "upper": float("inf")}]}, []),
         ({"producers": [{"node": "src", "lower": 3.0, "upper": 2.0}]}, []),
+        ({"switch_groups": [[0.5]]}, []),
+        ({"switch_groups": [[True]], "lines": [{"start": "src", "end": "dst"}] * 2}, []),
+        ({"volumes_per_line": True}, []),
+        ({"n_time_steps": True, "t_end": 0.5, "tau_min": 0.5,
+          "consumers": [{"node": "dst", "demand": [[0.0, 0.4], [0.5, 0.4]]}]}, []),
     ], ids=["tau-nan", "tau-inf", "17-switch-groups", "oracle-over-file-grid",
             "volumes-1.5", "volumes-2.0", "steps-16.5", "speed-nan", "demand-nan",
-            "length-nan", "upper-inf", "lower-above-upper"])
+            "length-nan", "upper-inf", "lower-above-upper", "group-entry-0.5",
+            "group-entry-true", "volumes-true", "steps-true"])
     def test_bad_problem_file_content_exit_two(self, tmp_path, capsys, overrides, flags):
         pfile = write_problem_file(tmp_path, **overrides)
         code = cli.main([

@@ -26,7 +26,7 @@ class TestTimeGrid:
         with pytest.raises(DimensionError):
             so.TimeGrid(0.0, 1.0, 0)
 
-    @pytest.mark.parametrize("n", [16.5, 2.0, "4", None])
+    @pytest.mark.parametrize("n", [16.5, 2.0, "4", None, True])
     def test_rejects_non_integral_interval_count(self, n):
         with pytest.raises(DimensionError):
             so.TimeGrid(0.0, 1.0, n)

@@ -72,7 +72,6 @@ from .relaxed import (
 )
 from .rounding import (
     CiapResult,
-    DwellDpTable,
     OracleResult,
     constrained_ciap,
     dwell_project,

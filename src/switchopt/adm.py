@@ -23,7 +23,6 @@ from .core import (
     ContinuousControlPath,
     RelaxedControlPath,
     TimeGrid,
-    binary_to_onehot,
     check_feasible,
     onehot_to_binary,
 )
@@ -42,8 +41,9 @@ from .simulate import (
     weighted_penalty_value,
 )
 
-ADM_SUR = "adm_sur"
-ADM_PLAIN = "adm_plain"
+#: The two ADM variants, named by their CLI methods.
+ADM_SUR = "adm-sur"
+ADM_PLAIN = "adm"
 
 
 @dataclass(frozen=True)
@@ -166,16 +166,6 @@ class AdmResult:
     relaxed_w_final: Optional[RelaxedControlPath] = None
 
 
-def _feasibility(v: BinaryControlPath, spec: CombinatorialSpec,
-                 grid: TimeGrid, system: SwitchedSystem):
-    """Feasibility report in the spec's own representation; a modewise spec
-    checks the mode-indicator path (one column per mode)."""
-    if spec.representation == MODEWISE:
-        onehot = binary_to_onehot(v, system.modes)
-        v = BinaryControlPath(grid, onehot.values.astype(np.int64))
-    return check_feasible(v, spec, grid)
-
-
 def _integer_result(system, grid, spec, u: ContinuousControlPath,
                     w_onehot: RelaxedControlPath, v_tilde=None, **fields) -> AdmResult:
     """Result whose control is the one-hot path ``w_onehot``.
@@ -191,7 +181,7 @@ def _integer_result(system, grid, spec, u: ContinuousControlPath,
     return AdmResult(
         u_final=u, v_final=v, v_tilde_final=v if v_tilde is None else v_tilde,
         objective=objective(system, integrate(system, grid, u, w_onehot)),
-        feasible=bool(_feasibility(v, spec, grid, system).feasible), **fields,
+        feasible=check_feasible(v, spec, grid).feasible, **fields,
     )
 
 
@@ -363,7 +353,7 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
     return _integer_result(
         system, grid, spec, point.u, _binarize(grid, point.w), point.v_tilde,
         penalty_value=penalty, rho_final=rho_final, p_eps_certificate=certificate,
-        trace=tuple(trace), method="adm-sur" if options.variant == ADM_SUR else "adm",
+        trace=tuple(trace), method=options.variant,
         converged=converged, relaxed_w_final=point.w,
     )
 

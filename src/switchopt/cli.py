@@ -24,8 +24,6 @@ import numpy as np
 import yaml
 
 from .adm import (
-    ADM_PLAIN,
-    ADM_SUR,
     AdmOptions,
     AdmResult,
     PenaltySchedule,
@@ -222,10 +220,7 @@ def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
             system, grid, spec
         )
         return result, {"converged": result.converged}
-    options = AdmOptions(
-        epsilon=config.epsilon,
-        variant=ADM_SUR if config.method == "adm-sur" else ADM_PLAIN,
-    )
+    options = AdmOptions(epsilon=config.epsilon, variant=config.method)
     result = adm_penalty(system, grid, spec, schedule, options)
     payload = {
         "converged": result.converged,

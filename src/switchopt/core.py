@@ -263,6 +263,14 @@ COMPONENTWISE = "componentwise"
 MODEWISE = "modewise"
 
 
+def _counts(entries) -> tuple:
+    """Dwell or budget entries as Python ints; a non-integer entry is rejected."""
+    entries = tuple(entries)
+    if not all(map(_is_int, entries)):
+        raise DimensionError(f"dwell and budget entries must be integers, got {entries!r}")
+    return tuple(map(int, entries))
+
+
 @dataclass(frozen=True)
 class CombinatorialSpec:
     """Dwell-time and switch-budget restrictions in interval units.
@@ -274,8 +282,8 @@ class CombinatorialSpec:
     are exempt from both dwell rules.  ``max_switches[i]`` caps the total
     switch count of component i.
 
-    In the ``modewise`` representation the single component is the selected
-    mode sequence of a one-hot path, and a switch is any change of mode.
+    In the ``modewise`` representation the single component is the whole
+    row of the path, and a switch is any change of that row.
     """
 
     min_dwell: tuple
@@ -284,18 +292,18 @@ class CombinatorialSpec:
     representation: str = COMPONENTWISE
 
     def __post_init__(self):
-        object.__setattr__(self, "min_dwell", tuple(int(d) for d in self.min_dwell))
+        object.__setattr__(self, "min_dwell", _counts(self.min_dwell))
         if any(d < 1 for d in self.min_dwell):
             raise DimensionError("min dwell counts must be >= 1")
         if self.max_dwell is not None:
-            md = tuple(int(d) for d in self.max_dwell)
+            md = _counts(self.max_dwell)
             if len(md) != len(self.min_dwell):
                 raise DimensionError("max_dwell length must match min_dwell")
             if any(big < small for big, small in zip(md, self.min_dwell)):
                 raise DimensionError("max dwell must be >= min dwell per component")
             object.__setattr__(self, "max_dwell", md)
         if self.max_switches is not None:
-            ms = tuple(int(s) for s in self.max_switches)
+            ms = _counts(self.max_switches)
             if len(ms) != len(self.min_dwell):
                 raise DimensionError("max_switches length must match min_dwell")
             if any(s < 0 for s in ms):
@@ -452,8 +460,9 @@ def check_feasible(
 ) -> FeasibilityReport:
     """Exact dwell/switch-budget feasibility check of a binary path.
 
-    Componentwise specs inspect each column separately; modewise specs
-    require one-hot rows and inspect the selected-mode sequence.
+    Componentwise specs inspect each column separately.  For a modewise
+    spec a switch is any change of the path's row, so a configuration path
+    and its mode-indicator path give the same report.
     """
     _check_grid(v.grid, grid, "v")
     violations = []
@@ -465,11 +474,8 @@ def check_feasible(
         for c in range(spec.n_components):
             violations.extend(_run_violations(v.values[:, c], c, *spec.component(c)))
     else:
-        ones_per_row = (v.values == 1).sum(axis=1)
-        if not (ones_per_row == 1).all():
-            raise RepresentationError("modewise checks need one-hot rows")
-        mode_sequence = v.values.argmax(axis=1)
-        violations.extend(_run_violations(mode_sequence, 0, *spec.component(0)))
+        runs = np.cumsum(np.r_[0, (np.diff(v.values, axis=0) != 0).any(axis=1)])
+        violations.extend(_run_violations(runs, 0, *spec.component(0)))
     return FeasibilityReport(not violations, tuple(violations))
 
 

@@ -36,7 +36,6 @@ from .core import (
     RelaxedControlPath,
     TimeGrid,
     _check_grid,
-    onehot_to_binary,
 )
 from .errors import CapacityError, DimensionError, InfeasibleError
 from .relaxed import best_response_continuous
@@ -70,25 +69,6 @@ def sum_up_rounding(w: RelaxedControlPath, grid: TimeGrid) -> RelaxedControlPath
 # ---------------------------------------------------------------------------
 # Exact dwell-constrained dynamic programming
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class DwellDpTable:
-    """Forward table of the dwell-feasible shortest-path problem.
-
-    States are (value, run length saturated at the lock horizon, first-run
-    flag, switches used) in lexicographic order; ``costs[k, s]`` is the best
-    partial cost of any feasible prefix ending in state s after interval k,
-    and ``predecessors[k, s]`` the arg of that minimum (-1 at k = 0).
-    """
-
-    states: tuple
-    costs: np.ndarray
-    predecessors: np.ndarray
-
-    def best_terminal(self) -> int:
-        """Lowest-index state of minimal final cost."""
-        return int(np.argmin(self.costs[-1]))
 
 
 class _DwellAutomaton:
@@ -144,12 +124,14 @@ class _DwellAutomaton:
         return self.index[(value, 1, True, 0)]
 
 
-def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton):
-    """Exact minimum of sum(costs[k, value_k]) over feasible sequences.
+def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray:
+    """Value sequence minimizing sum(costs[k, value_k]) over feasible sequences.
 
-    Returns (value indices, total cost, table).  Ties resolve to the lowest
-    state index, scanning predecessors in ascending order with strict
-    improvement only.
+    ``table[k, s]`` is the least cost of a feasible prefix ending in automaton
+    state s after interval k, and ``preds[k, s]`` the state before it.  Ties
+    resolve to the lowest state index: predecessors are scanned in ascending
+    order with strict improvement only, and the walk back starts from the
+    lowest-index terminal state of least cost.
     """
     n_intervals, n_values = costs.shape
     if n_values != automaton.n_values:
@@ -174,17 +156,14 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton):
                 if cand < new_row[t]:
                     new_row[t] = cand
                     new_pred[t] = s
-    dp = DwellDpTable(automaton.states, table, preds)
-    best = dp.best_terminal()
-    total = float(table[-1, best])
-    if not np.isfinite(total):
+    s = int(np.argmin(table[-1]))
+    if not np.isfinite(table[-1, s]):
         raise InfeasibleError("no dwell-feasible sequence exists on this grid")
     sequence = np.empty(n_intervals, dtype=np.int64)
-    s = best
     for k in range(n_intervals - 1, -1, -1):
         sequence[k] = automaton.states[s][0]
         s = preds[k, s]
-    return sequence, total, dp
+    return sequence
 
 
 def _project_bits(p: np.ndarray, spec: CombinatorialSpec, h: float) -> np.ndarray:
@@ -196,8 +175,7 @@ def _project_bits(p: np.ndarray, spec: CombinatorialSpec, h: float) -> np.ndarra
     out = np.empty(p.shape, dtype=np.int64)
     for c in range(p.shape[1]):
         costs = np.column_stack((h * p[:, c], h * (1.0 - p[:, c])))
-        seq, _, _ = _solve_dwell_dp(costs, _DwellAutomaton(2, *spec.component(c)))
-        out[:, c] = seq
+        out[:, c] = _solve_dwell_dp(costs, _DwellAutomaton(2, *spec.component(c)))
     return out
 
 
@@ -248,8 +226,7 @@ def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
         modes.values[:, None, :] - modes.values[None, :, :]
     ).sum(axis=2)  # (M̃, M̃) 1-norm distances between configurations
     costs = h * (w.values @ pairwise.astype(np.float64))
-    automaton = _DwellAutomaton(modes.n_modes, *spec.component(0))
-    seq, _, _ = _solve_dwell_dp(costs, automaton)
+    seq = _solve_dwell_dp(costs, _DwellAutomaton(modes.n_modes, *spec.component(0)))
     return BinaryControlPath(grid, modes.values[seq])
 
 
@@ -492,10 +469,8 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
 
     if best_sequence is None:
         raise InfeasibleError("oracle found no feasible mode sequence")
-    onehot = onehot_rows[np.array(best_sequence)]
-    control = onehot_to_binary(RelaxedControlPath(grid_coarse, onehot), modes)
     return OracleResult(
-        best_control=control,
+        best_control=BinaryControlPath(grid_coarse, modes.values[list(best_sequence)]),
         best_value=float(best_value),
         nodes_explored=nodes,
         proven_optimal=not truncated,

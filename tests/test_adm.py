@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import switchopt as so
-from switchopt import adm
 from switchopt.errors import DimensionError
 
 from conftest import make_zero_system
@@ -180,7 +179,7 @@ class TestAdmPenalty:
                               if rng.integers(2) else None),
                 representation=so.MODEWISE if modewise else so.COMPONENTWISE,
             )
-            assert adm._feasibility(v0, spec, grid, system).feasible, spec
+            assert so.check_feasible(v0, spec, grid).feasible, spec
 
     def test_spec_not_matching_mode_table_rejected(self, fuller_50):
         system, grid, _ = fuller_50
@@ -289,6 +288,12 @@ class TestModewiseIntegration:
         indicator = so.binary_to_onehot(res.v_final, system.modes)
         v_ind = so.BinaryControlPath(grid, indicator.values.astype(int))
         assert so.check_feasible(v_ind, spec, grid).feasible
+
+    def test_feasible_flag_is_the_check_on_the_configuration_path(self, translines_coarse):
+        system, grid, _ = translines_coarse
+        spec = so.CombinatorialSpec.uniform(1, 4, representation=so.MODEWISE)
+        res = so.adm_penalty(system, grid, spec, options=fast_options(so.ADM_SUR))
+        assert so.check_feasible(res.v_final, spec, grid).feasible == res.feasible
 
     def test_subset_mode_table_system(self):
         # Three admissible configurations of two switches; the alternation

@@ -324,6 +324,28 @@ class TestCheckFeasible:
         v_bad = so.BinaryControlPath(g, [[1, 0], [0, 1], [1, 0], [1, 0]])
         assert not so.check_feasible(v_bad, spec, g).feasible
 
+    def test_modewise_configuration_and_indicator_paths_agree(self):
+        # A modewise switch is any change of the row, whichever encoding.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            modes = so.enumerate_modes(int(rng.integers(1, 4)))
+            m = modes.n_modes
+            n = int(rng.integers(1, 16))
+            g = grid(n)
+            d = int(rng.integers(1, 4))
+            spec = so.CombinatorialSpec(
+                min_dwell=(d,),
+                max_dwell=(d + int(rng.integers(0, 3)),) if rng.integers(2) else None,
+                max_switches=(int(rng.integers(0, 4)),) if rng.integers(2) else None,
+                representation=so.MODEWISE,
+            )
+            sel = rng.integers(0, m, n)
+            configs = so.check_feasible(so.BinaryControlPath(g, modes.values[sel]), spec, g)
+            indicators = so.check_feasible(
+                so.BinaryControlPath(g, np.eye(m, dtype=np.int64)[sel]), spec, g
+            )
+            assert configs.violations == indicators.violations
+
     def test_spec_validation(self):
         with pytest.raises(DimensionError):
             so.CombinatorialSpec(min_dwell=(0,))
@@ -331,6 +353,18 @@ class TestCheckFeasible:
             so.CombinatorialSpec(min_dwell=(3,), max_dwell=(2,))
         with pytest.raises(DimensionError):
             so.CombinatorialSpec(min_dwell=(1, 1), representation=so.MODEWISE)
+        # Dwell lengths and budgets are counts: no truncation, no bools.
+        with pytest.raises(DimensionError):
+            so.CombinatorialSpec(min_dwell=(2.7,))
+        with pytest.raises(DimensionError):
+            so.CombinatorialSpec(min_dwell=(2,), max_switches=(True,))
+        with pytest.raises(DimensionError):
+            so.CombinatorialSpec(min_dwell=(2,), max_dwell=(3.9,))
+        spec = so.CombinatorialSpec(
+            min_dwell=(np.int64(2),), max_dwell=(np.int64(3),), max_switches=(np.int64(1),)
+        )
+        assert spec.component(0) == (2, 3, 1)
+        assert all(type(x) is int for x in spec.component(0))
 
 
 class TestRepresentationBridges:

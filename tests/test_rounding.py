@@ -5,7 +5,7 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import CapacityError
-from switchopt.rounding import _DwellAutomaton
+from switchopt.rounding import _DwellAutomaton, _solve_dwell_dp
 
 from conftest import make_zero_system
 
@@ -328,34 +328,35 @@ class TestProjectionProperties:
             assert cost(out.values) == pytest.approx(want, abs=1e-12)
 
 
-class TestDwellDpTable:
-    def test_costs_non_decreasing_along_predecessor_chains(self):
-        from switchopt.rounding import _DwellAutomaton, _solve_dwell_dp
-
+class TestDwellDp:
+    def test_matches_brute_force_on_tied_costs(self):
         rng = np.random.default_rng(8)
-        for _ in range(30):
-            n = int(rng.integers(2, 12))
-            costs = rng.random((n, 2))
-            automaton = _DwellAutomaton(2, int(rng.integers(1, 4)), None, None)
-            _, _, table = _solve_dwell_dp(costs, automaton)
-            for s in range(automaton.n_states):
-                cost = table.costs[-1, s]
-                if not np.isfinite(cost):
-                    continue
-                k, state = n - 1, s
-                while k > 0:
-                    pred = table.predecessors[k, state]
-                    assert table.costs[k - 1, pred] <= table.costs[k, state] + 1e-15
-                    k, state = k - 1, pred
+        for _ in range(60):
+            n_values = int(rng.integers(2, 4))
+            d = int(rng.integers(1, 4))
+            dmax = d + int(rng.integers(0, 3)) if rng.random() < 0.5 else None
+            budget = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
+            n = int(rng.integers(1, 8 if n_values == 2 else 6))
+            # Few distinct integer costs, so many sequences tie.
+            costs = rng.integers(0, 3, (n, n_values)).astype(float)
+            feasible = all_feasible_sequences(n, n_values, d, dmax, budget)
+            seq = _solve_dwell_dp(costs, _DwellAutomaton(n_values, d, dmax, budget))
+            assert tuple(seq.tolist()) in feasible
 
-    def test_best_terminal_prefers_lowest_index_on_ties(self):
-        from switchopt.rounding import _DwellAutomaton, _solve_dwell_dp
+            def cost(s):
+                return float(costs[np.arange(n), list(s)].sum())
 
-        automaton = _DwellAutomaton(2, 1, None, None)
-        costs = np.zeros((3, 2))
-        _, _, table = _solve_dwell_dp(costs, automaton)
-        finite = np.isfinite(table.costs[-1])
-        assert table.best_terminal() == int(np.argmax(finite))
+            assert cost(seq) == min(cost(s) for s in feasible)
+
+    @pytest.mark.parametrize("costs, rule, want", [
+        (np.zeros((3, 2)), (2, 1, None, None), [1, 0, 0]),
+        (np.zeros((5, 3)), (3, 2, None, None), [0, 0, 1, 1, 0]),
+        (np.zeros((6, 2)), (2, 2, 3, 1), [1, 1, 1, 1, 1, 0]),
+        (np.array([[0, 0], [1, 0], [0, 1], [0, 0], [1, 1]], dtype=float),
+         (2, 2, None, None), [1, 1, 0, 0, 0]),
+    ])
+    def test_ties_resolve_to_lowest_state_index(self, costs, rule, want):
+        assert _solve_dwell_dp(costs, _DwellAutomaton(*rule)).tolist() == want
 
     def test_successor_walk_enumerates_feasible_sequences(self):
         rng = np.random.default_rng(9)

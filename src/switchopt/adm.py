@@ -23,6 +23,7 @@ from .core import (
     ContinuousControlPath,
     RelaxedControlPath,
     TimeGrid,
+    _is_int,
     check_feasible,
     onehot_to_binary,
 )
@@ -83,8 +84,8 @@ class AdmOptions:
     def __post_init__(self):
         if not (0 < self.epsilon < np.inf and 0 < self.penalty_stop_tol < np.inf):
             raise DimensionError("epsilon and penalty_stop_tol must be positive and finite")
-        if self.max_inner_iterations < 1:
-            raise DimensionError("max_inner_iterations must be >= 1")
+        if not (_is_int(self.max_inner_iterations) and self.max_inner_iterations >= 1):
+            raise DimensionError("max_inner_iterations must be an integer >= 1")
         if self.variant not in (ADM_SUR, ADM_PLAIN):
             raise DimensionError(f"unknown variant {self.variant!r}")
 

@@ -294,6 +294,10 @@ def build_translines(config: TranslinesConfig):
     b_stack = np.stack(b_mats)          # (n_modes, wave, m_u)
     delivery_stack = np.stack(delivery)  # (n_modes, consumers, wave)
     n_modes = modes.n_modes
+    # Flat views, so each weight-combined Jacobian is one vector-matrix product.
+    a_flat = a_stack.reshape(n_modes, -1)
+    b_flat = b_stack.reshape(n_modes, -1)
+    delivery_rows = delivery_stack.reshape(-1, wave_dim)
 
     def mode_index(r):
         return int(np.dot(r, mode_weights))
@@ -352,16 +356,14 @@ def build_translines(config: TranslinesConfig):
     def combined_jac_state(t, y, u, weights):
         wave = y[:wave_dim]
         jac = np.zeros((state_dim, state_dim))
-        jac[:wave_dim, :wave_dim] = np.tensordot(weights, a_stack, axes=1)
+        jac[:wave_dim, :wave_dim] = (weights @ a_flat).reshape(wave_dim, wave_dim)
         gaps = demands(t)[None, :] - delivery_stack @ wave
-        jac[wave_dim, :wave_dim] = -np.einsum(
-            "i,ic,icw->w", weights, gaps, delivery_stack
-        )
+        jac[wave_dim, :wave_dim] = -((weights[:, None] * gaps).reshape(-1) @ delivery_rows)
         return jac
 
     def combined_jac_control(t, y, u, weights):
         jac = np.zeros((state_dim, m_u))
-        jac[:wave_dim] = np.tensordot(weights, b_stack, axes=1)
+        jac[:wave_dim] = (weights @ b_flat).reshape(wave_dim, m_u)
         return jac
 
     names = []

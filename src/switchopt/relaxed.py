@@ -24,6 +24,7 @@ from .core import (
     ContinuousControlPath,
     RelaxedControlPath,
     TimeGrid,
+    _is_int,
 )
 from .errors import DimensionError, DivergenceError
 from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _penalty_weights
@@ -39,8 +40,11 @@ class RelaxedSolveOptions:
     max_iterations: int = 5000
 
     def __post_init__(self):
-        if not (0 < self.stationarity_tol < np.inf and self.max_iterations > 0):
-            raise DimensionError("solver tolerances and limits must be positive and finite")
+        if not (0 < self.stationarity_tol < np.inf
+                and _is_int(self.max_iterations) and self.max_iterations > 0):
+            raise DimensionError(
+                "stationarity_tol must be positive and finite, max_iterations a positive integer"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,6 +52,15 @@ class TestAdmOptions:
         with pytest.raises(DimensionError):
             so.AdmOptions(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, 2.5, True])
+    def test_max_inner_iterations_must_be_a_positive_integer(self, value):
+        # adm_penalty loops over range(max_inner_iterations).
+        with pytest.raises(DimensionError):
+            so.AdmOptions(max_inner_iterations=value)
+
+    def test_numpy_integer_count_accepted(self):
+        assert so.AdmOptions(max_inner_iterations=np.int64(3)).max_inner_iterations == 3
+
 
 class TestInnerAlternation:
     def test_trivial_objective_breaks_immediately(self):

@@ -191,6 +191,14 @@ class TestSolveRelaxedPoc:
         with pytest.raises(DimensionError):
             so.RelaxedSolveOptions(**{field: value})
 
+    @pytest.mark.parametrize("value", [0, 2.5, True])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(DimensionError):
+            so.RelaxedSolveOptions(max_iterations=value)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        assert so.RelaxedSolveOptions(max_iterations=np.int64(3)).max_iterations == 3
+
 
 def counted_system(system):
     """Copy of ``system`` whose stage-field and terminal callables count calls."""

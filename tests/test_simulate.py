@@ -301,10 +301,29 @@ def relative_error(got, want):
     return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), 1e-300)
 
 
+@pytest.fixture(scope="module")
+def translines_switched_ends():
+    """Small network whose producer and consumer both sit on switched lines.
+
+    In the shipped subgrid only the wave matrix depends on the mode; here
+    the control matrix and the delivery rows do as well.
+    """
+    config = so.TranslinesConfig(
+        nodes=("gen", "hub", "cons"),
+        lines=(so.TransLine("gen", "hub"), so.TransLine("hub", "cons"),
+               so.TransLine("gen", "cons")),
+        switch_groups=((0,), (1,)),
+        producers=(("gen", 0.0, 1.0),),
+        consumers=(("cons", ((0.0, 0.2), (2.0, 0.6), (4.0, 0.3))),),
+        volumes_per_line=2, n_time_steps=16, t_end=4.0, tau_min=0.5,
+    )
+    return so.build_translines(config)
+
+
 class TestSystemContract:
     """The hand-written stacked hooks agree with the per-mode callables."""
 
-    @pytest.fixture(params=["fuller_50", "translines_coarse"])
+    @pytest.fixture(params=["fuller_50", "translines_coarse", "translines_switched_ends"])
     def case(self, request):
         system, grid, _ = request.getfixturevalue(request.param)
         per_mode = dataclasses.replace(
@@ -333,6 +352,21 @@ class TestSystemContract:
             _integrate_values(per_mode, grid, u, w),
             _integrate_values(system, grid, u, w),
         ) <= 1e-13
+
+    @pytest.mark.parametrize("hook", ["combined_jac_state", "combined_jac_control"])
+    def test_combined_jacobians(self, case, hook):
+        system, per_mode, grid, u, w, onehot = case
+        states = _integrate_values(system, grid, u, w)
+        for k in range(grid.n_intervals):
+            t, y = grid.node(k), states[k]
+            for rows, exact in ((onehot, True), (w, False)):
+                got = getattr(system, hook)(t, y, u[k], rows[k])
+                want = getattr(per_mode, hook)(t, y, u[k], rows[k])
+                assert got.shape == want.shape
+                if exact:
+                    assert np.array_equal(got, want)
+                elif want.size:
+                    assert relative_error(got, want) <= 1e-13
 
     def test_value_and_gradients(self, case):
         system, per_mode, grid, u, w, _ = case

@@ -179,6 +179,9 @@ class RelaxedControlPath:
                 f"relaxed control has {arr.shape[0]} rows, grid has "
                 f"{self.grid.n_intervals} intervals"
             )
+        # NaN passes every range comparison below, so it is rejected first.
+        if not np.isfinite(arr).all():
+            raise RepresentationError("relaxed control entries must be finite")
         if arr.size and (arr.min() < -SOS1_TOL or arr.max() > 1.0 + SOS1_TOL):
             raise RepresentationError("relaxed control entries must lie in [0, 1]")
         row_sums = arr.sum(axis=1)
@@ -234,6 +237,8 @@ class ContinuousControlPath:
             raise DimensionError("bounds must have one entry per control channel")
         if np.any(lo > hi):
             raise DimensionError("lower bounds exceed upper bounds")
+        if not np.isfinite(arr).all():
+            raise RepresentationError("continuous control values must be finite")
         if arr.size and (np.any(arr < lo) or np.any(arr > hi)):
             raise RepresentationError("continuous control values violate their bounds")
         for a in (arr, lo, hi):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -123,41 +125,64 @@ class _DwellAutomaton:
     def initial_state(self, value: int) -> int:
         return self.index[(value, 1, True, 0)]
 
+    @cached_property
+    def predecessor_groups(self) -> tuple:
+        """The successor table read backwards, one group per predecessor count.
+
+        Each group is (targets, their values, sources), where row r of
+        ``sources`` lists the predecessors of ``targets[r]`` in ascending
+        order.  States without predecessors are in no group.
+        """
+        preds = [[] for _ in self.states]
+        for s, successors in enumerate(self.successors):
+            for _, t in successors:
+                preds[t].append(s)
+        by_count = {}
+        for t, sources in enumerate(preds):
+            if sources:
+                by_count.setdefault(len(sources), []).append(t)
+        return tuple(
+            (np.array(targets), np.array([self.states[t][0] for t in targets]),
+             np.array([preds[t] for t in targets]))
+            for targets in by_count.values()
+        )
+
 
 def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray:
     """Value sequence minimizing sum(costs[k, value_k]) over feasible sequences.
 
-    ``table[k, s]`` is the least cost of a feasible prefix ending in automaton
-    state s after interval k, and ``preds[k, s]`` the state before it.  Ties
-    resolve to the lowest state index: predecessors are scanned in ascending
-    order with strict improvement only, and the walk back starts from the
-    lowest-index terminal state of least cost.
+    ``row[s]`` is the least cost of a feasible prefix ending in automaton
+    state s after the current interval, and ``preds[k, s]`` the state before
+    it.  Ties resolve to the lowest state index: each target's candidate sums
+    ``row[source] + cost`` are formed over its predecessors in ascending order
+    and the first least one is kept, which is what a scan with strict
+    improvement keeps (the sums come before the min because fl(base + c) can
+    tie for distinct bases); the walk back starts from the lowest-index
+    terminal state of least cost.  Only the current row is kept: the
+    per-group cost columns already take the memory a full table would.
     """
     n_intervals, n_values = costs.shape
     if n_values != automaton.n_values:
         raise DimensionError("cost table width does not match the automaton")
-    inf = np.inf
-    table = np.full((n_intervals, automaton.n_states), inf)
-    preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
+    groups = [
+        (targets, sources, np.arange(len(targets)), costs[:, values, None])
+        for targets, values, sources in automaton.predecessor_groups
+    ]
+    row = np.full(automaton.n_states, np.inf)
     for val in range(n_values):
-        table[0, automaton.initial_state(val)] = costs[0, val]
+        row[automaton.initial_state(val)] = costs[0, val]
+    preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
     for k in range(1, n_intervals):
-        row = table[k - 1]
-        new_row = table[k]
+        new_row = np.full(automaton.n_states, np.inf)
         new_pred = preds[k]
-        cost_k = costs[k]
-        for s, successors in enumerate(automaton.successors):
-            base = row[s]
-            if base == inf:
-                continue
-            # Each target appears once per source, so ties keep the lowest s.
-            for val, t in successors:
-                cand = base + cost_k[val]
-                if cand < new_row[t]:
-                    new_row[t] = cand
-                    new_pred[t] = s
-    s = int(np.argmin(table[-1]))
-    if not np.isfinite(table[-1, s]):
+        for targets, sources, rows, target_costs in groups:
+            cand = row[sources] + target_costs[k]
+            j = cand.argmin(axis=1)
+            new_row[targets] = cand[rows, j]
+            new_pred[targets] = sources[rows, j]
+        row = new_row
+    s = int(np.argmin(row))
+    if not np.isfinite(row[s]):
         raise InfeasibleError("no dwell-feasible sequence exists on this grid")
     sequence = np.empty(n_intervals, dtype=np.int64)
     for k in range(n_intervals - 1, -1, -1):
@@ -275,7 +300,9 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     m = w.n_modes
     h = grid.step
     automaton = _DwellAutomaton(m, *_ciap_scalars(spec, m))
-    values = w.values
+    # steps[k][mode]: the gap increment of taking mode on interval k, as
+    # Python floats (the same IEEE operations, without numpy scalars).
+    steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
 
     # Node storage: parents[i] = (parent index, mode at this node's interval).
     parents = []
@@ -301,9 +328,8 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
         return out
 
     for mode in range(m):
-        gamma = (values[0] - np.eye(m)[mode]) * h
-        bound = float(np.abs(gamma).max())
-        push(0, mode, automaton.initial_state(mode), tuple(gamma), bound, -1)
+        gamma = tuple(steps[0][mode])
+        push(0, mode, automaton.initial_state(mode), gamma, max(map(abs, gamma)), -1)
 
     best_leaf = None
     proven = False
@@ -320,13 +346,10 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             proven = True
             break
         k = depth + 1
-        wk = values[k]
+        step_k = steps[k]
         for new_mode, new_state in automaton.successors[state]:
-            new_gamma = tuple(
-                g + (wk[i] - (1.0 if i == new_mode else 0.0)) * h
-                for i, g in enumerate(gamma)
-            )
-            new_bound = max(bound, max(abs(g) for g in new_gamma))
+            new_gamma = tuple(map(add, gamma, step_k[new_mode]))
+            new_bound = max(bound, max(map(abs, new_gamma)))
             if incumbent is not None and new_bound >= incumbent[0]:
                 continue
             if k == n - 1:
@@ -341,10 +364,9 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                 raise InfeasibleError("no dwell-feasible assignment was reached")
             bound, neg_depth, _, node_id, state, gamma = heap[0]
             mode = automaton.states[state][0]
-            gamma = np.asarray(gamma)
             for k in range(-neg_depth + 1, n):
-                gamma = gamma + (values[k] - np.eye(m)[mode]) * h
-                bound = max(bound, float(np.abs(gamma).max()))
+                gamma = tuple(map(add, gamma, steps[k][mode]))
+                bound = max(bound, max(map(abs, gamma)))
                 parents.append((node_id, mode))
                 node_id = len(parents) - 1
             incumbent = (bound, node_id)

@@ -98,6 +98,16 @@ class TestPaths:
         with pytest.raises(RepresentationError):
             so.ContinuousControlPath(g, [[2.0], [0.0]], [0.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_relaxed_rejects_non_finite(self, bad):
+        with pytest.raises(RepresentationError, match="finite"):
+            so.RelaxedControlPath(grid(2), [[bad, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_continuous_rejects_non_finite(self, bad):
+        with pytest.raises(RepresentationError, match="finite"):
+            so.ContinuousControlPath(grid(2), [[bad], [0.0]], [-np.inf], [np.inf])
+
     def test_paths_are_immutable(self):
         g = grid(2)
         v = so.BinaryControlPath(g, [[0], [1]])

@@ -328,7 +328,53 @@ class TestProjectionProperties:
             assert cost(out.values) == pytest.approx(want, abs=1e-12)
 
 
+def reference_dwell_dp(costs, automaton):
+    """The dynamic program as a scan over sources: each source in ascending
+    order relaxes each of its successors on strict improvement only.  A
+    constant sequence is always feasible, so a terminal state is reached."""
+    n_intervals, n_values = costs.shape
+    table = np.full((n_intervals, automaton.n_states), np.inf)
+    preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
+    for val in range(n_values):
+        table[0, automaton.initial_state(val)] = costs[0, val]
+    for k in range(1, n_intervals):
+        for s, successors in enumerate(automaton.successors):
+            base = table[k - 1, s]
+            if base == np.inf:
+                continue
+            for val, t in successors:
+                cand = base + costs[k, val]
+                if cand < table[k, t]:
+                    table[k, t] = cand
+                    preds[k, t] = s
+    s = int(np.argmin(table[-1]))
+    sequence = np.empty(n_intervals, dtype=np.int64)
+    for k in range(n_intervals - 1, -1, -1):
+        sequence[k] = automaton.states[s][0]
+        s = preds[k, s]
+    return sequence
+
+
 class TestDwellDp:
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(12)
+        for trial in range(320):
+            n_values = int(rng.integers(2, 7))
+            d = 1 if trial % 4 == 0 else int(rng.integers(1, 6))
+            dmax = d + int(rng.integers(0, 3)) if rng.random() < 0.4 else None
+            budget = None
+            if rng.random() < 0.5:
+                budget = 0 if trial % 5 == 0 else int(rng.integers(1, 6))
+            n = 1 if trial % 16 == 0 else int(rng.integers(1, 41))
+            if trial % 2:
+                # Multiples of 0.1: sums of distinct terms round to ties.
+                costs = rng.integers(0, 5, (n, n_values)) * 0.1
+            else:
+                costs = rng.random((n, n_values))
+            automaton = _DwellAutomaton(n_values, d, dmax, budget)
+            want = reference_dwell_dp(costs, automaton)
+            assert _solve_dwell_dp(costs, automaton).tolist() == want.tolist()
+
     def test_matches_brute_force_on_tied_costs(self):
         rng = np.random.default_rng(8)
         for _ in range(60):
@@ -354,6 +400,11 @@ class TestDwellDp:
         (np.zeros((6, 2)), (2, 2, 3, 1), [1, 1, 1, 1, 1, 0]),
         (np.array([[0, 0], [1, 0], [0, 1], [0, 0], [1, 1]], dtype=float),
          (2, 2, None, None), [1, 1, 0, 0, 0]),
+        # Distinct prefix costs 0.1 + 0.2 > 0.3 + 0.0 whose sums with 0.1
+        # both round to 0.4: the tie goes to the lower state (value 0),
+        # not to the smaller prefix cost.
+        (np.array([[0.1, 0.1, 0.3], [0.2, 1.0, 0.0], [0.7, 0.1, 0.3]]),
+         (3, 2, None, None), [0, 0, 1]),
     ])
     def test_ties_resolve_to_lowest_state_index(self, costs, rule, want):
         assert _solve_dwell_dp(costs, _DwellAutomaton(*rule)).tolist() == want
@@ -490,6 +541,29 @@ class TestConstrainedCiap:
         assert so.check_feasible(
             so.BinaryControlPath(g, res.control.values.astype(int)), spec, g
         ).feasible
+
+    # Exact results, so a change of the expansion order or of the gap
+    # arithmetic shows even where the deviation stays within rounding.
+    @pytest.mark.parametrize("seed, modes, n, d, budget, max_nodes, want", [
+        # The benchmark's budgeted instance, stopped by the node budget.
+        (7, 4, 60, 3, 8, 5_000, (
+            0.5971558782493465, 5_000, False,
+            "200011122233311122222222222222222222222222222222222222222222")),
+        (5, 6, 100, 4, None, 1_000_000, (
+            0.022700472324012306, 353, True,
+            "22255550000111133333444422225555000022223333444411115555"
+            "00003333444422221111555500003333444422221111")),
+    ])
+    def test_golden_results(self, seed, modes, n, d, budget, max_nodes, want):
+        g = so.TimeGrid(0.0, 1.0, n)
+        rng = np.random.default_rng(seed)
+        w = so.RelaxedControlPath(g, rng.dirichlet(np.full(modes, 0.5), size=n))
+        spec = so.CombinatorialSpec.uniform(
+            1, d, max_switches=budget, representation=so.MODEWISE
+        )
+        res = so.constrained_ciap(w, spec, g, max_nodes=max_nodes)
+        path = "".join(str(mode) for mode in res.control.selected_modes())
+        assert (res.deviation, res.nodes_explored, res.proven_optimal, path) == want
 
 
 class TestGlobalOracle:

@@ -46,6 +46,9 @@ from .simulate import (
 ADM_SUR = "adm-sur"
 ADM_PLAIN = "adm"
 
+#: Most rungs a penalty ladder may have; the default ladder has 11.
+MAX_LADDER_RUNGS = 1000
+
 
 @dataclass(frozen=True)
 class PenaltySchedule:
@@ -63,6 +66,10 @@ class PenaltySchedule:
             raise DimensionError("need 0 < rho_initial <= rho_max")
         if not self.increment_factor > 1:
             raise DimensionError("increment_factor must exceed 1")
+        # A difference of logs: the ratio of two finite values can overflow.
+        span = np.log(self.rho_max) - np.log(self.rho_initial)
+        if span / np.log(self.increment_factor) > MAX_LADDER_RUNGS:
+            raise DimensionError(f"penalty ladder exceeds {MAX_LADDER_RUNGS} rungs")
 
     def ladder(self) -> tuple:
         rhos = [0.0]
@@ -302,19 +309,6 @@ def _certificate(system, grid, spec, rho, options, point: _Point) -> PEpsCertifi
     )
 
 
-def _binarize(grid, w: RelaxedControlPath) -> RelaxedControlPath:
-    """Exact one-hot path of a (near-)one-hot multiplier path.
-
-    Snaps rows within 1e-9 of a vertex; anything blunter is rounded by the
-    integral-gap rule.
-    """
-    if not w.is_onehot(tol=1e-9):
-        return sum_up_rounding(w, grid)
-    exact = np.zeros_like(w.values)
-    exact[np.arange(w.values.shape[0]), w.values.argmax(axis=1)] = 1.0
-    return RelaxedControlPath(grid, exact)
-
-
 def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
                 schedule: PenaltySchedule = PenaltySchedule(),
                 options: AdmOptions = AdmOptions()) -> AdmResult:
@@ -326,8 +320,9 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
     at rho = 0), warm-starting each sweep from the previous one's result, and
     stops once the integrated multiplier/projection gap of the sweep result
     drops below ``penalty_stop_tol`` or the ladder is exhausted.  The
-    reported control is the binarized final iterate; ``feasible`` re-checks
-    it against the constraint set exactly.
+    reported control is the sum-up rounding of the final multipliers, which
+    is the final iterate itself when that is one-hot (rows within 1e-9 of a
+    vertex round to that vertex); ``feasible`` re-checks it exactly.
     """
     point = default_initial_guess(system, grid)
     trace = []
@@ -352,7 +347,7 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
         if certified else None
     )
     return _integer_result(
-        system, grid, spec, point.u, _binarize(grid, point.w), point.v_tilde,
+        system, grid, spec, point.u, sum_up_rounding(point.w, grid), point.v_tilde,
         penalty_value=penalty, rho_final=rho_final, p_eps_certificate=certificate,
         trace=tuple(trace), method=options.variant,
         converged=converged, relaxed_w_final=point.w,

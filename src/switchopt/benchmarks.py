@@ -81,11 +81,7 @@ def build_fuller(config: FullerConfig = FullerConfig()):
 
     def combined_jac_state(t, y, u, weights):
         # The state Jacobian is mode-independent and the weights sum to one.
-        return np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [2.0 * y[0], 0.0, 0.0],
-        ])
+        return rhs_jac_state(t, y, u, None)
 
     system = SwitchedSystem(
         state_dim=3,
@@ -246,11 +242,13 @@ def build_translines(config: TranslinesConfig):
     def line_active(line_idx, mode_row):
         return all(mode_row[g] == 1 for g in group_of_line[line_idx])
 
-    a_mats, b_mats, delivery = [], [], []
-    for mode_row in modes.values:
+    # Per mode the operators fill one row of each stack, in place.
+    n_modes = modes.n_modes
+    a_stack = np.zeros((n_modes, wave_dim, wave_dim))
+    b_stack = np.zeros((n_modes, wave_dim, m_u))
+    delivery_stack = np.zeros((n_modes, len(config.consumers), wave_dim))
+    for mode_row, a, bu, rows in zip(modes.values, a_stack, b_stack, delivery_stack):
         active = [line_active(r, mode_row) for r in range(n_lines)]
-        a = np.zeros((wave_dim, wave_dim))
-        bu = np.zeros((wave_dim, m_u))
         for r, line in enumerate(config.lines):
             dx = line.length / volumes
             for j in range(volumes):
@@ -277,23 +275,14 @@ def build_translines(config: TranslinesConfig):
                     a[fwd(r, 0), fwd(q, volumes - 1)] += lam_p / (share * dx)
             for ch in producer_channels.get(node, ()):
                 bu[fwd(r, 0), ch] += 1.0 / (share * dx)
-        a_mats.append(a)
-        b_mats.append(bu)
         # Delivery functionals: per consumer, sum of arriving forward values.
-        rows = np.zeros((len(config.consumers), wave_dim))
         for s, (node, _) in enumerate(config.consumers):
             for q, other in enumerate(config.lines):
                 if other.end == node and active[q]:
                     rows[s, fwd(q, volumes - 1)] += 1.0
-        delivery.append(rows)
 
     demand_tables = [_demand_profile(table) for _, table in config.consumers]
-    n_consumers = len(config.consumers)
     mode_weights = 1 << np.arange(n_groups - 1, -1, -1)
-    a_stack = np.stack(a_mats)          # (n_modes, wave, wave)
-    b_stack = np.stack(b_mats)          # (n_modes, wave, m_u)
-    delivery_stack = np.stack(delivery)  # (n_modes, consumers, wave)
-    n_modes = modes.n_modes
     # Flat views, so each weight-combined Jacobian is one vector-matrix product.
     a_flat = a_stack.reshape(n_modes, -1)
     b_flat = b_stack.reshape(n_modes, -1)
@@ -313,10 +302,10 @@ def build_translines(config: TranslinesConfig):
         i = mode_index(r)
         wave = y[:wave_dim]
         dy = np.empty(state_dim)
-        dy[:wave_dim] = a_mats[i] @ wave
+        dy[:wave_dim] = a_stack[i] @ wave
         if m_u:
-            dy[:wave_dim] += b_mats[i] @ u
-        gap = demands(t) - delivery[i] @ wave
+            dy[:wave_dim] += b_stack[i] @ u
+        gap = demands(t) - delivery_stack[i] @ wave
         dy[wave_dim] = 0.5 * float(gap @ gap)
         return dy
 
@@ -324,15 +313,15 @@ def build_translines(config: TranslinesConfig):
         i = mode_index(r)
         wave = y[:wave_dim]
         jac = np.zeros((state_dim, state_dim))
-        jac[:wave_dim, :wave_dim] = a_mats[i]
-        gap = demands(t) - delivery[i] @ wave
-        jac[wave_dim, :wave_dim] = -(gap @ delivery[i])
+        jac[:wave_dim, :wave_dim] = a_stack[i]
+        gap = demands(t) - delivery_stack[i] @ wave
+        jac[wave_dim, :wave_dim] = -(gap @ delivery_stack[i])
         return jac
 
     def rhs_jac_control(t, y, u, r):
         i = mode_index(r)
         jac = np.zeros((state_dim, m_u))
-        jac[:wave_dim] = b_mats[i]
+        jac[:wave_dim] = b_stack[i]
         return jac
 
     def terminal_cost(y):

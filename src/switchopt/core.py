@@ -172,8 +172,10 @@ class RelaxedControlPath:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DimensionError(f"relaxed control values must be 2-D, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[1] < 1:
+            raise DimensionError(
+                f"relaxed control values must be 2-D with a mode column, got {arr.shape}"
+            )
         if arr.shape[0] != self.grid.n_intervals:
             raise DimensionError(
                 f"relaxed control has {arr.shape[0]} rows, grid has "
@@ -182,10 +184,10 @@ class RelaxedControlPath:
         # NaN passes every range comparison below, so it is rejected first.
         if not np.isfinite(arr).all():
             raise RepresentationError("relaxed control entries must be finite")
-        if arr.size and (arr.min() < -SOS1_TOL or arr.max() > 1.0 + SOS1_TOL):
+        if arr.min() < -SOS1_TOL or arr.max() > 1.0 + SOS1_TOL:
             raise RepresentationError("relaxed control entries must lie in [0, 1]")
         row_sums = arr.sum(axis=1)
-        if arr.size and np.abs(row_sums - 1.0).max() > SOS1_TOL:
+        if np.abs(row_sums - 1.0).max() > SOS1_TOL:
             worst = int(np.abs(row_sums - 1.0).argmax())
             raise RepresentationError(
                 f"row {worst} sums to {row_sums[worst]!r}, expected 1 within {SOS1_TOL}"
@@ -203,9 +205,9 @@ class RelaxedControlPath:
             grid, np.full((grid.n_intervals, n_modes), 1.0 / n_modes)
         )
 
-    def is_onehot(self, tol: float = SOS1_TOL) -> bool:
-        near_one = np.abs(self.values - 1.0) <= tol
-        near_zero = np.abs(self.values) <= tol
+    def is_onehot(self) -> bool:
+        near_one = np.abs(self.values - 1.0) <= SOS1_TOL
+        near_zero = np.abs(self.values) <= SOS1_TOL
         return bool(((near_one | near_zero).all()) and (near_one.sum(axis=1) == 1).all())
 
     def selected_modes(self) -> np.ndarray:
@@ -410,7 +412,7 @@ def cia_deviation(
     if not v_onehot.is_onehot():
         raise RepresentationError("v_onehot rows must be one-hot")
     gaps = np.cumsum((w.values - v_onehot.values) * grid.step, axis=0)
-    return float(np.abs(gaps).max()) if gaps.size else 0.0
+    return float(np.abs(gaps).max())
 
 
 def switch_count(

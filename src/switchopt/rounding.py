@@ -21,9 +21,7 @@ All tie-breaks are lowest-index-first so results are deterministic.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 from typing import Optional
 
@@ -125,7 +123,6 @@ class _DwellAutomaton:
     def initial_state(self, value: int) -> int:
         return self.index[(value, 1, True, 0)]
 
-    @cached_property
     def predecessor_groups(self) -> tuple:
         """The successor table read backwards, one group per predecessor count.
 
@@ -166,7 +163,7 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
         raise DimensionError("cost table width does not match the automaton")
     groups = [
         (targets, sources, np.arange(len(targets)), costs[:, values, None])
-        for targets, values, sources in automaton.predecessor_groups
+        for targets, values, sources in automaton.predecessor_groups()
     ]
     row = np.full(automaton.n_states, np.inf)
     for val in range(n_values):
@@ -275,15 +272,6 @@ def _ciap_admissible(spec: CombinatorialSpec, n_modes: int) -> bool:
     return spec.representation == MODEWISE or (spec.n_components == 1 and n_modes == 2)
 
 
-def _ciap_scalars(spec: CombinatorialSpec, n_modes: int):
-    if _ciap_admissible(spec, n_modes):
-        return spec.component(0)
-    raise DimensionError(
-        "constrained CIAP needs a modewise spec (or a single-component "
-        "componentwise spec over two modes)"
-    )
-
-
 def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                      grid: TimeGrid, max_nodes: int = 1_000_000) -> CiapResult:
     """Dwell-feasible one-hot path of provably minimal integral deviation.
@@ -293,13 +281,21 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     the objective is non-decreasing in the prefix, so the first completed
     assignment popped from the frontier is optimal.  Bound ties prefer
     deeper nodes and then earlier creation, which dives to good incumbents
-    quickly; expansions enumerate modes in ascending index order.
+    quickly; expansions enumerate modes in ascending index order.  The
+    frontier never empties (a popped inner node pushes its always-allowed
+    stay child unless the incumbent, whose leaf is still queued, prunes it),
+    so the search ends at a popped leaf or when ``max_nodes`` pops are spent.
     """
     _check_grid(w.grid, grid, "w")
     n = grid.n_intervals
     m = w.n_modes
     h = grid.step
-    automaton = _DwellAutomaton(m, *_ciap_scalars(spec, m))
+    if not _ciap_admissible(spec, m):
+        raise DimensionError(
+            "constrained CIAP needs a modewise spec (or a single-component "
+            "componentwise spec over two modes)"
+        )
+    automaton = _DwellAutomaton(m, *spec.component(0))
     # steps[k][mode]: the gap increment of taking mode on interval k, as
     # Python floats (the same IEEE operations, without numpy scalars).
     steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
@@ -307,14 +303,13 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     # Node storage: parents[i] = (parent index, mode at this node's interval).
     parents = []
     heap = []
-    counter = itertools.count()
     incumbent = None  # (deviation, node index)
     pops = 0
 
     def push(depth, mode, state, gamma, bound, parent):
         node_id = len(parents)
         parents.append((parent, mode))
-        heapq.heappush(heap, (bound, -depth, next(counter), node_id, state, gamma))
+        heapq.heappush(heap, (bound, -depth, node_id, state, gamma))
 
     def reconstruct(node_id):
         seq = []
@@ -332,18 +327,12 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
         push(0, mode, automaton.initial_state(mode), gamma, max(map(abs, gamma)), -1)
 
     best_leaf = None
-    proven = False
-    while heap:
-        if pops >= max_nodes:
-            break
-        bound, neg_depth, _, node_id, state, gamma = heapq.heappop(heap)
+    while pops < max_nodes:
+        bound, neg_depth, node_id, state, gamma = heapq.heappop(heap)
         pops += 1
         depth = -neg_depth
-        if incumbent is not None and bound > incumbent[0]:
-            continue
         if depth == n - 1:
             best_leaf = (bound, node_id)
-            proven = True
             break
         k = depth + 1
         step_k = steps[k]
@@ -356,13 +345,12 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                 incumbent = (new_bound, len(parents))
             push(k, new_mode, new_state, new_gamma, new_bound, node_id)
 
-    if best_leaf is None:
+    proven = best_leaf is not None
+    if not proven:
         if incumbent is None:
             # Budget ran out before any complete assignment: finish the best
             # frontier node by holding its mode, which is always feasible.
-            if not heap:
-                raise InfeasibleError("no dwell-feasible assignment was reached")
-            bound, neg_depth, _, node_id, state, gamma = heap[0]
+            bound, neg_depth, node_id, state, gamma = heap[0]
             mode = automaton.states[state][0]
             for k in range(-neg_depth + 1, n):
                 gamma = tuple(map(add, gamma, steps[k][mode]))
@@ -370,10 +358,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                 parents.append((node_id, mode))
                 node_id = len(parents) - 1
             incumbent = (bound, node_id)
-        # Heap exhausted: everything remaining was pruned against the
-        # incumbent, so its value is optimal; budget exits stay unproven.
         best_leaf = incumbent
-        proven = pops < max_nodes and not heap
 
     deviation, node_id = best_leaf
     control = RelaxedControlPath(grid, reconstruct(node_id))

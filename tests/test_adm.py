@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import switchopt as so
+from switchopt.adm import MAX_LADDER_RUNGS
 from switchopt.errors import DimensionError
 
 from conftest import make_zero_system
@@ -34,6 +35,19 @@ class TestPenaltySchedule:
             so.PenaltySchedule(increment_factor=1.0)
         with pytest.raises(Exception):
             so.PenaltySchedule(rho_initial=10.0, rho_max=1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"increment_factor": 1 + 1e-12},
+        {"rho_initial": 1e-300, "rho_max": 1e300, "increment_factor": 1.1},
+    ], ids=["factor-barely-above-one", "wide-range-small-factor"])
+    def test_ladder_rung_cap(self, kwargs):
+        # Construction alone must fail: walking such a ladder exhausts memory.
+        with pytest.raises(DimensionError, match="rungs"):
+            so.PenaltySchedule(**kwargs)
+
+    def test_wide_ladder_below_the_cap(self):
+        schedule = so.PenaltySchedule(rho_initial=1e-300, rho_max=1e300)
+        assert len(schedule.ladder()) == 602 <= MAX_LADDER_RUNGS
 
     @pytest.mark.parametrize("field, value", [
         ("rho_max", math.inf), ("rho_initial", math.nan),

@@ -301,7 +301,8 @@ class TestMain:
     @pytest.mark.parametrize("flags", [
         ["--rho-factor", "1"],
         ["--rho-init", "10", "--rho-max", "1"],
-    ], ids=["factor-one", "init-above-max"])
+        ["--rho-factor", "1.000000000001"],
+    ], ids=["factor-one", "init-above-max", "factor-barely-above-one"])
     def test_bad_penalty_ladder_exit_two(self, tmp_path, capsys, flags):
         code = cli.main([
             "run", "--problem", "fuller", "--method", "adm-sur",

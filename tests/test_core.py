@@ -103,6 +103,11 @@ class TestPaths:
         with pytest.raises(RepresentationError, match="finite"):
             so.RelaxedControlPath(grid(2), [[bad, 1.0], [1.0, 0.0]])
 
+    def test_relaxed_needs_a_mode_column(self):
+        # Every value check is vacuous on an empty array.
+        with pytest.raises(DimensionError, match="mode column"):
+            so.RelaxedControlPath(grid(3), np.zeros((3, 0)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_continuous_rejects_non_finite(self, bad):
         with pytest.raises(RepresentationError, match="finite"):

@@ -65,6 +65,23 @@ class TestSumUpRounding:
         out = so.sum_up_rounding(w, g)
         assert out.selected_modes().tolist() == [0, 1]
 
+    def test_near_vertex_rows_round_to_their_vertex(self):
+        # Rows within 1e-9 of a vertex: the target mode's gap stays near 1
+        # and every other mode's near 0, so each row keeps its vertex.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(1, 401))
+            m = int(rng.integers(2, 9))
+            g = so.TimeGrid(0.0, 1.0, n)
+            sel = rng.integers(0, m, n)
+            vals = rng.random((n, m)) * 1e-9 / m
+            vals[np.arange(n), sel] = 0.0
+            vals[np.arange(n), sel] = 1.0 - vals.sum(axis=1)
+            out = so.sum_up_rounding(so.RelaxedControlPath(g, vals), g)
+            want = np.zeros((n, m))
+            want[np.arange(n), sel] = 1.0
+            assert np.array_equal(out.values, want)
+
     def test_deviation_bound_random_sweep(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
@@ -549,6 +566,15 @@ class TestConstrainedCiap:
         (7, 4, 60, 3, 8, 5_000, (
             0.5971558782493465, 5_000, False,
             "200011122233311122222222222222222222222222222222222222222222")),
+        # No pop: the best root held to the end.
+        (7, 4, 60, 3, 8, 0, (
+            0.6867307505467133, 0, False,
+            "111111111111111111111111111111111111111111111111111111111111")),
+        # The benchmark's instance reaches no complete assignment within 10^6
+        # pops, so this small one pins a budget exit with an incumbent but
+        # no popped leaf, and then its proven optimum.
+        (0, 4, 10, 2, 4, 32, (0.12534176488482582, 32, False, "1002233000")),
+        (0, 4, 10, 2, 4, 1_000_000, (0.10442302185937932, 48, True, "1002233300")),
         (5, 6, 100, 4, None, 1_000_000, (
             0.022700472324012306, 353, True,
             "22255550000111133333444422225555000022223333444411115555"

@@ -566,6 +566,11 @@ class TestConstrainedCiap:
         (7, 4, 60, 3, 8, 5_000, (
             0.5971558782493465, 5_000, False,
             "200011122233311122222222222222222222222222222222222222222222")),
+        # A larger unbudgeted instance, solved to proven optimality.
+        (5, 6, 100, 4, None, 1_000_000, (
+            0.022700472324012306, 353, True,
+            "22255550000111133333444422225555000022223333444411115555"
+            "00003333444422221111555500003333444422221111")),
         # No pop: the best root held to the end.
         (7, 4, 60, 3, 8, 0, (
             0.6867307505467133, 0, False,
@@ -575,10 +580,6 @@ class TestConstrainedCiap:
         # no popped leaf, and then its proven optimum.
         (0, 4, 10, 2, 4, 32, (0.12534176488482582, 32, False, "1002233000")),
         (0, 4, 10, 2, 4, 1_000_000, (0.10442302185937932, 48, True, "1002233300")),
-        (5, 6, 100, 4, None, 1_000_000, (
-            0.022700472324012306, 353, True,
-            "22255550000111133333444422225555000022223333444411115555"
-            "00003333444422221111555500003333444422221111")),
     ])
     def test_golden_results(self, seed, modes, n, d, budget, max_nodes, want):
         g = so.TimeGrid(0.0, 1.0, n)

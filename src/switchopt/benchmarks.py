@@ -58,12 +58,16 @@ def build_fuller(config: FullerConfig = FullerConfig()):
     def rhs(t, y, u, r):
         return np.array([y[1], 1.0 - 2.0 * r[0], y[0] * y[0]])
 
+    jac_pattern = np.array([
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ])
+
     def rhs_jac_state(t, y, u, r):
-        return np.array([
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0],
-            [2.0 * y[0], 0.0, 0.0],
-        ])
+        jac = jac_pattern.copy()
+        jac[2, 0] = 2.0 * y[0]
+        return jac
 
     def rhs_jac_control(t, y, u, r):
         return np.zeros((3, 0))

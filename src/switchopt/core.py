@@ -42,6 +42,10 @@ class TimeGrid:
     n_intervals: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise DimensionError(
+                f"grid ends must be finite, got [{self.t_start}, {self.t_end}]"
+            )
         if not self.t_end > self.t_start:
             raise DimensionError(
                 f"t_end ({self.t_end}) must exceed t_start ({self.t_start})"

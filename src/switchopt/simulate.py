@@ -13,6 +13,10 @@ weight-combined Jacobians).  A gradient sweep keeps the forward pass's stage
 states and per-mode stage fields (N x stages x modes x n_y floats) and walks
 them backwards instead of recomputing them; a caller that already holds a
 recorded forward sweep at the same point hands it over and skips the pass.
+The reverse interval loop runs only the adjoint recursion and records each
+stage's weight; the w- and u-contractions run after it as stacked
+``np.matmul`` products (bitwise equal to per-interval 2-D products, which
+``np.einsum`` is not).
 """
 
 from __future__ import annotations
@@ -79,8 +83,12 @@ class SwitchedSystem:
             raise DimensionError(
                 f"initial state has shape {y0.shape}, expected ({self.state_dim},)"
             )
+        if not np.isfinite(y0).all():
+            raise DimensionError("initial state must be finite")
         if lo.shape != (self.control_dim,) or hi.shape != (self.control_dim,):
             raise DimensionError("control bounds must have control_dim entries")
+        if not (lo <= hi).all():
+            raise DimensionError("control bounds must be ordered, lower <= upper, and not NaN")
         if self.integrator not in (RK4, EULER):
             raise DimensionError(f"unknown integrator {self.integrator!r}")
         for a in (y0, lo, hi):
@@ -300,39 +308,60 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
     jac_u = system.combined_jac_control
     half_h = 0.5 * h
     hb1, hb2, hb3, hb4 = (h * b for b in _RK_B)
+    n_stages = 4 if rk4 else 1
+    # The loop records each stage's weight (and control Jacobian) for the
+    # contractions after it.
+    stage_weights = np.empty((n, n_stages, system.state_dim))
+    if has_u:
+        stage_jac_u = np.empty((n, n_stages, system.state_dim, u_values.shape[1]))
 
     for k in range(n - 1, -1, -1):
         t = grid.t_start + k * h
         uk = u_values[k]
         wk = w_values[k]
+        sb = stage_weights[k]
         if rk4:
-            (y1, y2, y3, y4), (f1, f2, f3, f4) = stages[k]
+            (y1, y2, y3, y4), _ = stages[k]
             t_mid, t_end = t + half_h, t + h
-            sb4 = hb4 * lam
+            sb[3] = sb4 = hb4 * lam
             yb4 = jac_y(t_end, y4, uk, wk).T @ sb4
-            sb3 = hb3 * lam + h * yb4
+            sb[2] = sb3 = hb3 * lam + h * yb4
             yb3 = jac_y(t_mid, y3, uk, wk).T @ sb3
-            sb2 = hb2 * lam + half_h * yb3
+            sb[1] = sb2 = hb2 * lam + half_h * yb3
             yb2 = jac_y(t_mid, y2, uk, wk).T @ sb2
-            sb1 = hb1 * lam + half_h * yb2
+            sb[0] = sb1 = hb1 * lam + half_h * yb2
             yb1 = jac_y(t, y1, uk, wk).T @ sb1
-            grad_w[k] += f1 @ sb1 + f2 @ sb2 + f3 @ sb3 + f4 @ sb4
             if has_u:
-                grad_u[k] += (
-                    jac_u(t, y1, uk, wk).T @ sb1
-                    + jac_u(t_mid, y2, uk, wk).T @ sb2
-                    + jac_u(t_mid, y3, uk, wk).T @ sb3
-                    + jac_u(t_end, y4, uk, wk).T @ sb4
-                )
+                ju = stage_jac_u[k]
+                ju[0] = jac_u(t, y1, uk, wk)
+                ju[1] = jac_u(t_mid, y2, uk, wk)
+                ju[2] = jac_u(t_mid, y3, uk, wk)
+                ju[3] = jac_u(t_end, y4, uk, wk)
             lam = lam + yb1 + yb2 + yb3 + yb4
         else:
-            (y1,), (f1,) = stages[k]
-            grad_w[k] += h * (f1 @ lam)
+            (y1,), _ = stages[k]
+            sb[0] = lam
             if has_u:
-                grad_u[k] += h * (jac_u(t, y1, uk, wk).T @ lam)
+                stage_jac_u[k, 0] = jac_u(t, y1, uk, wk)
             lam = lam + h * (jac_y(t, y1, uk, wk).T @ lam)
 
+    # A stacked matmul runs the same per-item product as the 2-D one, so
+    # these sums are bitwise those of the per-interval contractions;
+    # np.einsum sums in another order and is not.
+    weights = stage_weights[..., None]
+    stage_fields = np.array([fields for _, fields in stages])
+    grad_w += _stage_sum(np.matmul(stage_fields, weights)[..., 0], h)
+    if has_u:
+        grad_u += _stage_sum(np.matmul(stage_jac_u.swapaxes(2, 3), weights)[..., 0], h)
     return value, grad_u, grad_w
+
+
+def _stage_sum(terms: np.ndarray, h: float) -> np.ndarray:
+    """Per-interval sum over the stage axis of (N, stages, ...) contractions:
+    ((s1 + s2) + s3) + s4 for RK4, h * s1 for Euler."""
+    if terms.shape[1] == 1:
+        return h * terms[:, 0]
+    return terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 def adjoint_gradient(system: SwitchedSystem, grid: TimeGrid,

@@ -26,6 +26,14 @@ class TestTimeGrid:
         with pytest.raises(DimensionError):
             so.TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("t_start, t_end", [
+        (0.0, float("inf")), (-float("inf"), 0.0), (-float("inf"), float("inf")),
+        (float("nan"), 1.0), (0.0, float("nan")),
+    ])
+    def test_rejects_non_finite_ends(self, t_start, t_end):
+        with pytest.raises(DimensionError):
+            so.TimeGrid(t_start, t_end, 10)
+
     @pytest.mark.parametrize("n", [16.5, 2.0, "4", None, True])
     def test_rejects_non_integral_interval_count(self, n):
         with pytest.raises(DimensionError):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import switchopt as so
-from switchopt.errors import DivergenceError
-from switchopt.simulate import EULER, RK4, _adjoint_values, _integrate_values
+from switchopt.errors import DimensionError, DivergenceError
+from switchopt.simulate import EULER, RK4, _RK_B, _adjoint_values, _integrate_values
 
-from conftest import make_zero_system
+from conftest import make_blowup_system, make_zero_system
 
 FULLER_V0_OBJECTIVE = float(
     Fraction(1, 10000) + Fraction(1, 300) + Fraction(1, 20) + Fraction(1, 4) + 1
@@ -83,7 +83,29 @@ class TestIntegrate:
         w = so.RelaxedControlPath(grid, np.tile([0.5, 0.5], (10, 1)))
         with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
             so.integrate(system, grid, so.ContinuousControlPath.empty(grid), w)
-        assert err.value.interval is not None
+
+        # Reference: plain RK4 steps of the even mix, checked after each step.
+        h = grid.step
+        u = np.zeros(0)
+
+        def field(t, y):
+            return 0.5 * system.rhs(t, y, u, [0]) + 0.5 * system.rhs(t, y, u, [1])
+
+        y = system.initial_state.copy()
+        first = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(grid.n_intervals):
+                t = grid.node(k)
+                s1 = field(t, y)
+                s2 = field(t + h / 2, y + h / 2 * s1)
+                s3 = field(t + h / 2, y + h / 2 * s2)
+                s4 = field(t + h, y + h * s3)
+                y = y + h / 6 * (s1 + 2 * s2 + 2 * s3 + s4)
+                if not np.isfinite(y).all():
+                    first = k
+                    break
+        assert first is not None and first > 0
+        assert err.value.interval == first
 
     def test_vertex_consistency_bitwise(self, fuller_50):
         system, grid, _ = fuller_50
@@ -281,6 +303,30 @@ class TestAdjointGradient:
         assert relative_gradient_error(gw, fd_w) <= 1e-5
         assert relative_gradient_error(gu, fd_u) <= 1e-5
 
+    @pytest.mark.parametrize("rows", ["onehot", "dirichlet"])
+    @pytest.mark.parametrize("penalized", [False, True])
+    @pytest.mark.parametrize("name", ["fuller_50", "translines_coarse", "blowup_controlled"])
+    def test_matches_reference_contraction_loop(self, request, name, rows, penalized):
+        if name == "blowup_controlled":
+            # RK4 with a control; y' = u y^2 from 1 stays finite up to t = 1.
+            system, grid = make_blowup_system(controlled=True), so.TimeGrid(0.0, 0.5, 20)
+        else:
+            system, grid, _ = request.getfixturevalue(name)
+        rng = np.random.default_rng(73)
+        n, m = grid.n_intervals, system.modes.n_modes
+        u = rng.uniform(system.control_lower, system.control_upper,
+                        (n, system.control_dim))
+        if rows == "onehot":
+            w = np.eye(m)[rng.integers(0, m, n)]
+        else:
+            w = rng.dirichlet(np.full(m, 0.5), size=n)
+        pen = rng.random(w.shape) if penalized else None
+        value, gu, gw = _adjoint_values(system, grid, u, w, pen)
+        value_r, gu_r, gw_r = reference_adjoint_values(system, grid, u, w, pen)
+        assert np.float64(value).tobytes() == np.float64(value_r).tobytes()
+        assert gu.shape == gu_r.shape and gu.tobytes() == gu_r.tobytes()
+        assert gw.shape == gw_r.shape and gw.tobytes() == gw_r.tobytes()
+
     def test_translines_matches_central_differences(self, translines_coarse):
         system, grid, _ = translines_coarse
         rng = np.random.default_rng(33)
@@ -295,6 +341,62 @@ class TestAdjointGradient:
         fd_u, fd_w = central_difference_gradient(system, grid, u_vals, w_vals, vt, 0.3)
         assert relative_gradient_error(gu, fd_u) <= 1e-5
         assert relative_gradient_error(gw, fd_w) <= 1e-5
+
+
+def reference_adjoint_values(system, grid, u_values, w_values, penalty_grad_w):
+    """Reverse sweep with the gradient contractions inside the interval loop.
+
+    The per-interval form the stacked contractions of ``_adjoint_values``
+    replace, kept as their bitwise reference.
+    """
+    n = grid.n_intervals
+    h = grid.step
+    stages = []
+    states = _integrate_values(system, grid, u_values, w_values, stages)
+    value = float(system.terminal_cost(states[-1]))
+    grad_u = np.zeros_like(u_values)
+    grad_w = np.zeros_like(w_values)
+    if penalty_grad_w is not None:
+        value += float((w_values * penalty_grad_w).sum())
+        grad_w += penalty_grad_w
+
+    lam = np.asarray(system.terminal_cost_gradient(states[-1]), dtype=np.float64).copy()
+    has_u = u_values.shape[1] > 0
+    jac_y = system.combined_jac_state
+    jac_u = system.combined_jac_control
+    half_h = 0.5 * h
+    hb1, hb2, hb3, hb4 = (h * b for b in _RK_B)
+    for k in range(n - 1, -1, -1):
+        t = grid.t_start + k * h
+        uk = u_values[k]
+        wk = w_values[k]
+        if system.integrator == RK4:
+            (y1, y2, y3, y4), (f1, f2, f3, f4) = stages[k]
+            t_mid, t_end = t + half_h, t + h
+            sb4 = hb4 * lam
+            yb4 = jac_y(t_end, y4, uk, wk).T @ sb4
+            sb3 = hb3 * lam + h * yb4
+            yb3 = jac_y(t_mid, y3, uk, wk).T @ sb3
+            sb2 = hb2 * lam + half_h * yb3
+            yb2 = jac_y(t_mid, y2, uk, wk).T @ sb2
+            sb1 = hb1 * lam + half_h * yb2
+            yb1 = jac_y(t, y1, uk, wk).T @ sb1
+            grad_w[k] += f1 @ sb1 + f2 @ sb2 + f3 @ sb3 + f4 @ sb4
+            if has_u:
+                grad_u[k] += (
+                    jac_u(t, y1, uk, wk).T @ sb1
+                    + jac_u(t_mid, y2, uk, wk).T @ sb2
+                    + jac_u(t_mid, y3, uk, wk).T @ sb3
+                    + jac_u(t_end, y4, uk, wk).T @ sb4
+                )
+            lam = lam + yb1 + yb2 + yb3 + yb4
+        else:
+            (y1,), (f1,) = stages[k]
+            grad_w[k] += h * (f1 @ lam)
+            if has_u:
+                grad_u[k] += h * (jac_u(t, y1, uk, wk).T @ lam)
+            lam = lam + h * (jac_y(t, y1, uk, wk).T @ lam)
+    return value, grad_u, grad_w
 
 
 def relative_error(got, want):
@@ -403,6 +505,26 @@ class TestRecordedSweep:
         assert value_r == value
         assert gu_r.tobytes() == gu.tobytes()
         assert gw_r.tobytes() == gw.tobytes()
+
+
+class TestSystemValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("initial_state", [np.nan]),
+        ("initial_state", [np.inf]),
+        ("control_lower", [np.nan]),
+        ("control_upper", [np.nan]),
+        ("control_lower", [2.0]),
+    ], ids=["state-nan", "state-inf", "lower-nan", "upper-nan", "lower-above-upper"])
+    def test_rejects_bad_initial_state_or_bounds(self, field, value):
+        system = make_zero_system(state_dim=1, control_dim=1)
+        with pytest.raises(DimensionError):
+            dataclasses.replace(system, **{field: np.array(value)})
+
+    def test_accepts_infinite_bounds(self):
+        system = make_zero_system(state_dim=1, control_dim=1)
+        free = dataclasses.replace(system, control_lower=np.array([-np.inf]),
+                                   control_upper=np.array([np.inf]))
+        assert free.control_lower[0] == -np.inf and free.control_upper[0] == np.inf
 
 
 class TestDerivativeValidation:

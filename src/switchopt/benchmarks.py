@@ -180,8 +180,10 @@ class TranslinesConfig:
                 raise ConfigurationError("demand tables need sorted breakpoints")
             if ts[0] > 0 or ts[-1] < self.t_end:
                 raise ConfigurationError("demand tables must cover the horizon")
-        if not 0 < self.tau_min < np.inf:
-            raise ConfigurationError("tau_min must be positive and finite")
+        if not 0 < self.tau_min <= self.t_end:
+            raise ConfigurationError(
+                f"tau_min must lie in (0, t_end] = (0, {self.t_end}], got {self.tau_min}"
+            )
         if self.representation not in (COMPONENTWISE, MODEWISE):
             raise ConfigurationError(f"unknown representation {self.representation!r}")
 

@@ -477,7 +477,9 @@ def _config_from_args(args) -> RunConfig:
             if key not in _FIELD_DEFAULTS:
                 raise ConfigurationError(f"unknown config key {key!r}")
             default = _FIELD_DEFAULTS[key]
-            if value is not None or default is not None:
+            if value is None and default is not None:
+                raise ConfigurationError(f"config key {key!r} cannot be null")
+            if value is not None:
                 # Parsed from its text as the command-line flag would be.
                 try:
                     value = (str if default is None else type(default))(str(value))

@@ -2,8 +2,8 @@
 
 Three of the four solvers walk one dwell-lock automaton, ``_DwellAutomaton``,
 whose states are (current value, length of the current run, whether that run
-touches the left boundary, switches used) and whose successor table is the
-only encoding of the dwell rule:
+touches the left boundary, switches used) and whose ``next_state`` table is
+the only encoding of the dwell rule:
 
 * sum-up rounding, the classical greedy integral-gap rounding (no lock);
 * an exact dynamic program over dwell-feasible value sequences, used both
@@ -74,54 +74,42 @@ def sum_up_rounding(w: RelaxedControlPath, grid: TimeGrid) -> RelaxedControlPath
 class _DwellAutomaton:
     """The dwell lock as a finite automaton over n_values.
 
-    ``successors[s]`` lists the (value, next state) pairs of state s in
-    ascending value order: the stay, and each switch the lock allows.
+    State s is (value, run, first, used): the current value, the length of
+    its run (capped one past the maximum dwell, or at the minimum dwell),
+    whether that run touches the left boundary, and the switches used, with
+    s = ((value * run_cap + run - 1) * 2 + first) * levels + used.
+    ``next_state[s, v]`` is the state after taking value v, or -1 where the
+    lock forbids that switch; ``values[s]`` is the value of state s and
+    ``initial_state[v]`` the state of a first interval with value v.
     """
 
     def __init__(self, n_values: int, min_dwell: int,
                  max_dwell: Optional[int], max_switches: Optional[int]):
         if min_dwell < 1:
             raise DimensionError("min dwell must be >= 1")
-        self.n_values = n_values
-        self.d = min_dwell
-        self.dmax = max_dwell
-        self.budget = max_switches
         run_cap = (max_dwell + 1) if max_dwell is not None else min_dwell
-        used_levels = range(max_switches + 1) if max_switches is not None else (0,)
-        self.states = tuple(
-            (val, run, first, used)
-            for val in range(n_values)
-            for run in range(1, run_cap + 1)
-            for first in (False, True)
-            for used in used_levels
+        levels = 1 if max_switches is None else max_switches + 1
+        value, run, first, used = np.indices((n_values, run_cap, 2, levels)).reshape(4, -1)
+        run += 1
+        self.n_values = n_values
+        self.n_states = value.size
+        self.values = value
+        self.initial_state = (np.arange(n_values) * run_cap * 2 + 1) * levels
+        # A run touching the left boundary may end at any length; an inner
+        # run only inside its dwell window.  Each switch spends one unit of
+        # the budget, if there is one, and starts an inner run of length 1.
+        may_switch = (first == 1) | (run >= min_dwell)
+        if max_dwell is not None:
+            may_switch &= (first == 1) | (run <= max_dwell)
+        if max_switches is not None:
+            may_switch &= used < max_switches
+        spent = used + (max_switches is not None)
+        switch_to = np.arange(n_values) * (run_cap * 2 * levels) + spent[:, None]
+        self.next_state = np.where(may_switch[:, None], switch_to, -1)
+        stay_run = np.minimum(run + 1, run_cap)
+        self.next_state[np.arange(self.n_states), value] = (
+            ((value * run_cap + stay_run - 1) * 2 + first) * levels + used
         )
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.n_states = len(self.states)
-        bump = 0 if max_switches is None else 1
-        self.successors = tuple(
-            tuple(
-                (new_val, self.index[(val, min(run + 1, run_cap), first, used)])
-                if new_val == val
-                else (new_val, self.index[(new_val, 1, False, used + bump)])
-                for new_val in range(n_values)
-                if new_val == val or self._may_switch(run, first, used)
-            )
-            for val, run, first, used in self.states
-        )
-
-    def _may_switch(self, run: int, first: bool, used: int) -> bool:
-        if self.budget is not None and used >= self.budget:
-            return False
-        if first:
-            return True
-        if run < self.d:
-            return False
-        if self.dmax is not None and run > self.dmax:
-            return False
-        return True
-
-    def initial_state(self, value: int) -> int:
-        return self.index[(value, 1, True, 0)]
 
     def predecessor_groups(self) -> tuple:
         """The successor table read backwards, one group per predecessor count.
@@ -130,19 +118,18 @@ class _DwellAutomaton:
         ``sources`` lists the predecessors of ``targets[r]`` in ascending
         order.  States without predecessors are in no group.
         """
-        preds = [[] for _ in self.states]
-        for s, successors in enumerate(self.successors):
-            for _, t in successors:
-                preds[t].append(s)
-        by_count = {}
-        for t, sources in enumerate(preds):
-            if sources:
-                by_count.setdefault(len(sources), []).append(t)
-        return tuple(
-            (np.array(targets), np.array([self.states[t][0] for t in targets]),
-             np.array([preds[t] for t in targets]))
-            for targets in by_count.values()
-        )
+        sources, taken = np.nonzero(self.next_state >= 0)
+        targets = self.next_state[sources, taken]
+        order = np.argsort(targets, kind="stable")
+        sources = sources[order]
+        counts = np.bincount(targets, minlength=self.n_states)
+        starts = np.cumsum(counts) - counts
+        groups = []
+        for count in dict.fromkeys(counts[counts > 0].tolist()):
+            group = np.flatnonzero(counts == count)
+            groups.append((group, self.values[group],
+                           sources[starts[group, None] + np.arange(count)]))
+        return tuple(groups)
 
 
 def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray:
@@ -166,8 +153,7 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
         for targets, values, sources in automaton.predecessor_groups()
     ]
     row = np.full(automaton.n_states, np.inf)
-    for val in range(n_values):
-        row[automaton.initial_state(val)] = costs[0, val]
+    row[automaton.initial_state] = costs[0]
     preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
     for k in range(1, n_intervals):
         new_row = np.full(automaton.n_states, np.inf)
@@ -183,7 +169,7 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
         raise InfeasibleError("no dwell-feasible sequence exists on this grid")
     sequence = np.empty(n_intervals, dtype=np.int64)
     for k in range(n_intervals - 1, -1, -1):
-        sequence[k] = automaton.states[s][0]
+        sequence[k] = automaton.values[s]
         s = preds[k, s]
     return sequence
 
@@ -296,6 +282,11 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             "componentwise spec over two modes)"
         )
     automaton = _DwellAutomaton(m, *spec.component(0))
+    # successors[s]: the (mode, next state) pairs of state s, in mode order.
+    successors = [
+        [(mode, t) for mode, t in enumerate(row) if t >= 0]
+        for row in automaton.next_state.tolist()
+    ]
     # steps[k][mode]: the gap increment of taking mode on interval k, as
     # Python floats (the same IEEE operations, without numpy scalars).
     steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
@@ -324,7 +315,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
 
     for mode in range(m):
         gamma = tuple(steps[0][mode])
-        push(0, mode, automaton.initial_state(mode), gamma, max(map(abs, gamma)), -1)
+        push(0, mode, int(automaton.initial_state[mode]), gamma, max(map(abs, gamma)), -1)
 
     best_leaf = None
     while pops < max_nodes:
@@ -336,7 +327,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             break
         k = depth + 1
         step_k = steps[k]
-        for new_mode, new_state in automaton.successors[state]:
+        for new_mode, new_state in successors[state]:
             new_gamma = tuple(map(add, gamma, step_k[new_mode]))
             new_bound = max(bound, max(map(abs, new_gamma)))
             if incumbent is not None and new_bound >= incumbent[0]:
@@ -351,7 +342,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             # Budget ran out before any complete assignment: finish the best
             # frontier node by holding its mode, which is always feasible.
             bound, neg_depth, node_id, state, gamma = heap[0]
-            mode = automaton.states[state][0]
+            mode = automaton.values[state]
             for k in range(-neg_depth + 1, n):
                 gamma = tuple(map(add, gamma, steps[k][mode]))
                 bound = max(bound, max(map(abs, gamma)))
@@ -414,8 +405,8 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
             for c in range(spec.n_components)
         )
         mode_values = [tuple(int(b) for b in row) for row in modes.values]
-    # transitions[c][s][value]: automaton c's successor of state s on value.
-    transitions = [[dict(succ) for succ in a.successors] for a in automata]
+    # tables[c][s][value]: automaton c's successor of state s on value, or -1.
+    tables = [a.next_state.tolist() for a in automata]
 
     has_u = system.control_dim > 0
     h = grid_coarse.step
@@ -436,7 +427,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
             system, grid_coarse.node(0), system.initial_state, u_stub, onehot_rows[mode], h
         )[0]
         states = tuple(
-            a.initial_state(value) for a, value in zip(automata, mode_values[mode])
+            int(a.initial_state[value]) for a, value in zip(automata, mode_values[mode])
         )
         stack.append((0, (mode,), states, y1))
 
@@ -463,10 +454,9 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         for mode in range(m):
             # A mode is taken only when every component's lock allows it.
             next_states = tuple(
-                table[s].get(value)
-                for table, s, value in zip(transitions, states, mode_values[mode])
+                table[s][value] for table, s, value in zip(tables, states, mode_values[mode])
             )
-            if None in next_states:
+            if -1 in next_states:
                 continue
             y_next = None if has_u else _step(
                 system, grid_coarse.node(k), y, u_stub, onehot_rows[mode], h

@@ -217,6 +217,18 @@ class TestTranslines:
         with pytest.raises(ConfigurationError):
             single_line_config(consumers=(("dst", ((0.0, 0.5), (2.0, 0.5))),))
 
+    def test_dwell_time_is_capped_at_the_horizon(self):
+        # The dwell lock's state count grows with tau_min / step, so a tau far
+        # beyond the horizon would build a table no grid can use.
+        for tau in (26.0 + 1e-9, 1e6):
+            with pytest.raises(ConfigurationError, match="tau_min"):
+                so.translines_subgrid_config(
+                    volumes_per_line=2, n_time_steps=52, tau_min=tau
+                )
+        config = so.translines_subgrid_config(volumes_per_line=2, n_time_steps=52, tau_min=26.0)
+        _, _, spec = so.build_translines(config)
+        assert spec.min_dwell[0] == 52
+
     def test_modewise_representation_option(self):
         cfg = so.translines_subgrid_config(
             volumes_per_line=2, n_time_steps=52, representation=so.MODEWISE

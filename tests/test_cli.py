@@ -263,6 +263,34 @@ class TestMain:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_dwell_time_beyond_horizon_exit_two(self, tmp_path, capsys):
+        code = cli.main([
+            "run", "--problem", "translines", "--method", "ciap", "--tau-min", "1e6",
+            "--n-intervals", "52", "--volumes", "2", "--out", str(tmp_path),
+        ])
+        assert code == 2
+        assert "tau_min" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_result.json"))
+
+    @pytest.mark.parametrize("key", ["output_path", "tau_min", "method", "seed"])
+    def test_null_config_value_exit_two(self, tmp_path, capsys, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "run.yaml"
+        raw = {"problem": "fuller", "method": "sur", "n_intervals": 20, key: None}
+        yaml.safe_dump(raw, cfg_file.open("w"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert f"config key {key!r} cannot be null" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_result.json"))
+
+    def test_null_label_and_problem_file_keep_defaults(self, tmp_path):
+        cfg_file = tmp_path / "run.yaml"
+        cfg_file.write_text(
+            f"problem: fuller\nmethod: sur\nn_intervals: 20\noutput_path: {tmp_path}\n"
+            "label: null\nproblem_file: null\n"
+        )
+        assert cli.main(["run", "--config", str(cfg_file)]) == 0
+        assert (tmp_path / "fuller_sur_result.json").exists()
+
     @pytest.mark.parametrize("flag, body", [
         ("--config", "a: [1, 2"),
         ("--config", "- problem\n- fuller\n"),

@@ -353,13 +353,15 @@ def reference_dwell_dp(costs, automaton):
     table = np.full((n_intervals, automaton.n_states), np.inf)
     preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
     for val in range(n_values):
-        table[0, automaton.initial_state(val)] = costs[0, val]
+        table[0, automaton.initial_state[val]] = costs[0, val]
     for k in range(1, n_intervals):
-        for s, successors in enumerate(automaton.successors):
+        for s, row in enumerate(automaton.next_state):
             base = table[k - 1, s]
             if base == np.inf:
                 continue
-            for val, t in successors:
+            for val, t in enumerate(row):
+                if t < 0:
+                    continue
                 cand = base + costs[k, val]
                 if cand < table[k, t]:
                     table[k, t] = cand
@@ -367,9 +369,64 @@ def reference_dwell_dp(costs, automaton):
     s = int(np.argmin(table[-1]))
     sequence = np.empty(n_intervals, dtype=np.int64)
     for k in range(n_intervals - 1, -1, -1):
-        sequence[k] = automaton.states[s][0]
+        sequence[k] = automaton.values[s]
         s = preds[k, s]
     return sequence
+
+
+def reference_lock_tables(n_values, d, dmax, budget):
+    """The automaton built state by state from (value, run, first, used)
+    tuples and a switch rule, as a reference for the arithmetic numbering.
+
+    Returns (next_state, values, initial_state, predecessor groups) in the
+    layout of ``_DwellAutomaton``."""
+    run_cap = (dmax + 1) if dmax is not None else d
+    used_levels = range(budget + 1) if budget is not None else (0,)
+    states = [
+        (val, run, first, used)
+        for val in range(n_values)
+        for run in range(1, run_cap + 1)
+        for first in (False, True)
+        for used in used_levels
+    ]
+    index = {state: i for i, state in enumerate(states)}
+
+    def may_switch(run, first, used):
+        if budget is not None and used >= budget:
+            return False
+        if first:
+            return True
+        if run < d:
+            return False
+        if dmax is not None and run > dmax:
+            return False
+        return True
+
+    bump = 0 if budget is None else 1
+    next_state = np.full((len(states), n_values), -1, dtype=np.int64)
+    for s, (val, run, first, used) in enumerate(states):
+        for new_val in range(n_values):
+            if new_val == val:
+                next_state[s, new_val] = index[(val, min(run + 1, run_cap), first, used)]
+            elif may_switch(run, first, used):
+                next_state[s, new_val] = index[(new_val, 1, False, used + bump)]
+    preds = [[] for _ in states]
+    for s in range(len(states)):
+        for t in next_state[s]:
+            if t >= 0:
+                preds[t].append(s)
+    by_count = {}
+    for t, sources in enumerate(preds):
+        if sources:
+            by_count.setdefault(len(sources), []).append(t)
+    groups = [
+        (np.array(targets), np.array([states[t][0] for t in targets]),
+         np.array([preds[t] for t in targets]))
+        for targets in by_count.values()
+    ]
+    values = np.array([state[0] for state in states])
+    initial = np.array([index[(val, 1, True, 0)] for val in range(n_values)])
+    return next_state, values, initial, groups
 
 
 class TestDwellDp:
@@ -435,10 +492,10 @@ class TestDwellDp:
             budget = int(rng.integers(0, 4)) if rng.random() < 0.5 else None
             n = int(rng.integers(1, 8 if n_values == 2 else 6))
             automaton = _DwellAutomaton(n_values, d, dmax, budget)
-            for s, successors in enumerate(automaton.successors):
-                listed = [val for val, _ in successors]
-                assert listed == sorted(set(listed))
-                assert automaton.states[s][0] in listed
+            assert automaton.next_state.shape == (automaton.n_states, n_values)
+            assert automaton.values.shape == (automaton.n_states,)
+            for s, row in enumerate(automaton.next_state):
+                assert row[automaton.values[s]] >= 0
 
             walked = []
 
@@ -446,12 +503,33 @@ class TestDwellDp:
                 if len(prefix) == n:
                     walked.append(tuple(prefix))
                     return
-                for val, nxt in automaton.successors[state]:
-                    walk(prefix + [val], nxt)
+                for val, nxt in enumerate(automaton.next_state[state]):
+                    if nxt >= 0:
+                        walk(prefix + [val], nxt)
 
             for val in range(n_values):
-                walk([val], automaton.initial_state(val))
+                walk([val], automaton.initial_state[val])
             assert walked == all_feasible_sequences(n, n_values, d, dmax, budget)
+
+    @pytest.mark.parametrize("n_values", range(1, 7))
+    def test_table_matches_per_state_construction(self, n_values):
+        for d in range(1, 7):
+            for dmax in (None, d, d + 1, d + 2):
+                for budget in (None, 0, 1, 2, 5):
+                    automaton = _DwellAutomaton(n_values, d, dmax, budget)
+                    next_state, values, initial, groups = reference_lock_tables(
+                        n_values, d, dmax, budget
+                    )
+                    assert automaton.n_values == n_values
+                    assert automaton.n_states == len(values)
+                    assert np.array_equal(automaton.next_state, next_state)
+                    assert np.array_equal(automaton.values, values)
+                    assert np.array_equal(automaton.initial_state, initial)
+                    got = automaton.predecessor_groups()
+                    assert len(got) == len(groups)
+                    for have, want in zip(got, groups):
+                        for a, b in zip(have, want):
+                            assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def exhaustive_ciap(values, h, d, dmax=None, budget=None):

@@ -1,0 +1,130 @@
+"""Print one sha256 per solver output, to check that a change keeps results bitwise.
+
+Run from the repository root on two checkouts and diff the printed lines:
+
+    PYTHONPATH=src python tools/output_hashes.py > hashes.txt
+
+Covered outputs:
+
+* the CLI artifacts (result record without its wall time, trace JSON,
+  controls and trajectory CSVs) of Fuller ``poc``/``sur``/``ciap``/``adm``/
+  ``adm-sur`` at tau_min 0.02, 0.05 and 0.1, the Fuller ``oracle`` at N=20,
+  and translines ``adm``/``adm-sur``/``ciap`` (52 steps, 2 volumes per line);
+* ``dwell_project_weighted``, ``constrained_ciap`` and ``global_oracle`` on
+  seeded instances, with and without maximum dwell times and switch budgets.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import switchopt
+from switchopt.cli import RunConfig, run
+
+FULLER_METHODS = ("poc", "sur", "ciap", "adm", "adm-sur")
+FULLER_TAUS = (0.02, 0.05, 0.1)
+TRANSLINES_METHODS = ("adm", "adm-sur", "ciap")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def _cli_lines(out_dir: Path):
+    runs = [
+        (f"fuller {method} tau={tau}", RunConfig(problem="fuller", method=method, tau_min=tau))
+        for tau in FULLER_TAUS for method in FULLER_METHODS
+    ]
+    runs.append(("fuller oracle N=20", RunConfig(
+        problem="fuller", method="oracle", tau_min=0.1, n_intervals=20)))
+    runs += [
+        (f"translines {method}", RunConfig(
+            problem="translines", method=method, tau_min=1.0, n_intervals=52,
+            volumes_per_line=2))
+        for method in TRANSLINES_METHODS
+    ]
+    for i, (name, config) in enumerate(runs):
+        config.output_path = str(out_dir / str(i))
+        config.label = "out"
+        record = run(config)
+        record.pop("wall_time_seconds")
+        files = [json.dumps(record, sort_keys=True).encode()]
+        for key in ("trace_file", "controls_file", "trajectory_file"):
+            if record[key] is not None:
+                files.append(Path(config.output_path, record[key]).read_bytes())
+        yield f"cli {name}", _digest(*files)
+
+
+def _multipliers(rng, n, m):
+    grid = switchopt.TimeGrid(0.0, 1.0, n)
+    return grid, switchopt.RelaxedControlPath(grid, rng.dirichlet(np.full(m, 0.5), size=n))
+
+
+def _library_lines():
+    rng = np.random.default_rng(20)
+    # (switches, N, min dwell, max dwell, budget, modewise)
+    for switches, n, d, dmax, budget, modewise in (
+        (2, 120, 3, None, None, True), (3, 200, 5, 7, None, True),
+        (4, 200, 5, None, 10, True), (3, 400, 6, None, 20, True),
+        (2, 150, 4, 6, 5, False), (4, 400, 8, None, 16, False),
+    ):
+        modes = switchopt.enumerate_modes(switches)
+        grid, w = _multipliers(rng, n, modes.n_modes)
+        spec = switchopt.CombinatorialSpec.uniform(
+            1 if modewise else switches, d, max_dwell=dmax, max_switches=budget,
+            representation=switchopt.MODEWISE if modewise else switchopt.COMPONENTWISE,
+        )
+        out = switchopt.dwell_project_weighted(w, modes, spec, grid)
+        yield (f"dwell_project_weighted {switches} switches N={n} d={d} dmax={dmax} "
+               f"budget={budget} modewise={modewise}", _digest(out.values.tobytes()))
+
+    # (modes, N, min dwell, max dwell, budget, max nodes)
+    for m, n, d, dmax, budget, max_nodes in (
+        (6, 100, 4, None, None, 1_000_000), (4, 80, 3, 5, None, 1_000_000),
+        (3, 40, 2, None, 4, 20_000), (4, 60, 3, None, 8, 20_000),
+    ):
+        for i in range(4):
+            grid, w = _multipliers(rng, n, m)
+            spec = switchopt.CombinatorialSpec.uniform(
+                1, d, max_dwell=dmax, max_switches=budget, representation=switchopt.MODEWISE
+            )
+            res = switchopt.constrained_ciap(w, spec, grid, max_nodes=max_nodes)
+            yield (f"constrained_ciap {m} modes N={n} d={d} dmax={dmax} budget={budget} #{i}",
+                   _digest(res.control.values.tobytes(), res.deviation, res.nodes_explored,
+                           res.proven_optimal))
+
+    fuller, _, _ = switchopt.build_fuller(switchopt.FullerConfig(tau_min=0.1, n_intervals=20))
+    # (N, min dwell, max dwell, budget, representation)
+    for n, d, dmax, budget, rep in (
+        (12, 2, None, None, switchopt.COMPONENTWISE), (12, 1, 3, None, switchopt.COMPONENTWISE),
+        (14, 2, None, 3, switchopt.COMPONENTWISE), (12, 2, 4, 4, switchopt.MODEWISE),
+    ):
+        grid = switchopt.TimeGrid(0.0, 1.0, n)
+        spec = switchopt.CombinatorialSpec.uniform(
+            1, d, max_dwell=dmax, max_switches=budget, representation=rep
+        )
+        res = switchopt.global_oracle(fuller, grid, spec)
+        yield (f"global_oracle fuller N={n} d={d} dmax={dmax} budget={budget} {rep}",
+               _digest(res.best_control.values.tobytes(), res.best_value,
+                       res.nodes_explored, res.proven_optimal))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for lines in (_cli_lines(Path(tmp)), _library_lines()):
+            for name, digest in lines:
+                print(f"{digest}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

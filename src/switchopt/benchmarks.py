@@ -83,6 +83,13 @@ def build_fuller(config: FullerConfig = FullerConfig()):
         slope, square = y[1], y[0] * y[0]
         return np.array([[slope, 1.0, square], [slope, -1.0, square]])
 
+    def rhs_batch(t, ys, us):
+        out = np.empty((len(ys), 2, 3))
+        out[:, :, 0] = ys[:, 1, None]
+        out[:, :, 1] = (1.0, -1.0)
+        out[:, :, 2] = (ys[:, 0] * ys[:, 0])[:, None]
+        return out
+
     def combined_jac_state(t, y, u, weights):
         # The state Jacobian is mode-independent and the weights sum to one.
         return rhs_jac_state(t, y, u, None)
@@ -103,6 +110,7 @@ def build_fuller(config: FullerConfig = FullerConfig()):
         state_names=("y1", "y2", "running_cost"),
         rhs_stack=rhs_stack,
         combined_jac_state=combined_jac_state,
+        rhs_batch=rhs_batch,
     )
     spec = CombinatorialSpec.uniform(1, dwell_intervals(config.tau_min, grid))
     return system, grid, spec

@@ -58,27 +58,22 @@ class RelaxedSolveResult:
 
 
 def project_simplex(row: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex.
-
-    Sort-and-threshold rule: entries become max(x - tau, 0) with tau chosen
-    so the result sums to one.  Idempotent on simplex points.
-    """
+    """Euclidean projection of a vector onto the probability simplex: the
+    one-row case of ``project_rows_to_simplex``."""
     x = np.asarray(row, dtype=np.float64).reshape(-1)
     if x.size == 0:
         raise DimensionError("cannot project an empty vector")
     if not np.isfinite(x).all():
         raise DimensionError("simplex projection needs finite entries")
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, x.size + 1)
-    support = u - css / ks > 0
-    k = int(np.max(ks[support]))
-    tau = css[k - 1] / k
-    return np.maximum(x - tau, 0.0)
+    return project_rows_to_simplex(x[None])[0]
 
 
 def project_rows_to_simplex(mat: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection, vectorized over all rows."""
+    """Row-wise Euclidean projection onto the probability simplex.
+
+    Sort-and-threshold rule: entries become max(x - tau, 0) with tau chosen
+    so each row sums to one.  Idempotent on simplex points.
+    """
     x = np.asarray(mat, dtype=np.float64)
     u = -np.sort(-x, axis=1)
     css = np.cumsum(u, axis=1) - 1.0

@@ -11,8 +11,9 @@ the only encoding of the dwell rule:
   generalization;
 * best-first branch-and-bound for the dwell-constrained min-max integral
   approximation problem;
-* a depth-first global oracle that enumerates every dwell-feasible mode
-  sequence on a coarse grid and simulates each one.
+* a global oracle that enumerates every dwell-feasible mode sequence on a
+  coarse grid in lexicographic order, simulating chunks of sibling prefixes
+  with one batched step each.
 
 ``core._run_violations`` stays an independent checker of the same rule.
 All tie-breaks are lowest-index-first so results are deterministic.
@@ -44,6 +45,8 @@ from .simulate import SwitchedSystem, _step
 from .simulate import _adjoint_values, _integrate_values  # noqa: F401
 
 MAX_ORACLE_INTERVALS = 32
+# Most frontier rows the oracle advances with one batched step.
+ORACLE_CHUNK_ROWS = 1024
 
 
 def sum_up_rounding(w: RelaxedControlPath, grid: TimeGrid) -> RelaxedControlPath:
@@ -375,15 +378,44 @@ class OracleResult:
     best_u: Optional[np.ndarray] = None
 
 
+def _oracle_tree_size(expand, initial: np.ndarray, n: int, limit: int) -> int:
+    """Node count of the oracle's n-level tree, stopping once it passes ``limit``.
+
+    Counts run level by level over the distinct joint automaton states with
+    their multiplicities, so the cost grows with the states, not the nodes.
+    """
+    states = initial
+    counts = np.ones(len(initial), dtype=np.int64)
+    total = len(initial)
+    for _ in range(1, n):
+        if total > limit:
+            break
+        rows, _, children = expand(states)
+        states, inverse = np.unique(children, axis=0, return_inverse=True)
+        level = np.zeros(len(states), dtype=np.int64)
+        np.add.at(level, inverse.reshape(-1), counts[rows])
+        counts = level
+        total += int(counts.sum())
+    return total
+
+
 def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
                   spec: CombinatorialSpec, max_nodes: int = 10_000_000) -> OracleResult:
     """Exhaustive search over dwell-feasible mode sequences on a coarse grid.
 
-    Depth-first enumeration in ascending mode-index order; each feasible
-    partial sequence advances the simulation by one interval, so complete
-    sequences are evaluated incrementally.  With continuous controls present
-    every complete sequence additionally minimizes over them.  The best value
-    is the exact discretized global optimum once enumeration completes.
+    Depth-first over chunks of at most ``ORACLE_CHUNK_ROWS`` sibling prefixes:
+    a chunk's children are its rows' allowed modes in (row, mode) order,
+    advanced one interval by one batched step and pushed as chunks in
+    reverse, so complete sequences are reached in lexicographic order and
+    the first least value wins.  With continuous controls present every
+    complete sequence additionally minimizes over them.  The best value is
+    the exact discretized global optimum once enumeration completes.
+
+    The tree is counted first; when it has more than ``max_nodes`` nodes the
+    chunks hold one row each, the node-by-node walk, whose budget exit
+    returns the best complete sequence among its first ``max_nodes`` nodes
+    with ``proven_optimal=False``.  A budget spent before the first complete
+    sequence raises ``CapacityError``.
     """
     n = grid_coarse.n_intervals
     if n > MAX_ORACLE_INTERVALS:
@@ -396,7 +428,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     # the mode index for a modewise spec, the switch bits for a componentwise one.
     if spec.representation == MODEWISE:
         automata = (_DwellAutomaton(m, *spec.component(0)),)
-        mode_values = [(mode,) for mode in range(m)]
+        mode_values = np.arange(m)[:, None]
     elif spec.n_components != modes.n_switches:
         raise DimensionError("componentwise spec does not match the mode table")
     else:
@@ -404,70 +436,87 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
             _DwellAutomaton(2, *spec.component(c))
             for c in range(spec.n_components)
         )
-        mode_values = [tuple(int(b) for b in row) for row in modes.values]
-    # tables[c][s][value]: automaton c's successor of state s on value, or -1.
-    tables = [a.next_state.tolist() for a in automata]
+        mode_values = modes.values
+    # tables[c][s, mode]: automaton c's successor of state s on that mode's value.
+    tables = [a.next_state[:, mode_values[:, c]] for c, a in enumerate(automata)]
+    initial = np.column_stack(
+        [a.initial_state[mode_values[:, c]] for c, a in enumerate(automata)]
+    )
+
+    def expand(states):
+        """(parent row, mode, joint state) of each child of (B, C) joint
+        states, in row-major order: the modes every component's lock allows."""
+        following = np.stack(
+            [table[states[:, c]] for c, table in enumerate(tables)], axis=-1
+        )
+        rows, taken = np.nonzero((following >= 0).all(-1))
+        return rows, taken, following[rows, taken]
+
+    fits = _oracle_tree_size(expand, initial, n, max_nodes) <= max_nodes
+    chunk_rows = ORACLE_CHUNK_ROWS if fits else 1
 
     has_u = system.control_dim > 0
     h = grid_coarse.step
-    u_stub = np.zeros(system.control_dim)
-
     onehot_rows = np.eye(m)
+
+    def advance(k, ys, rows, taken):
+        """States after interval k of the children (rows, taken) of ``ys``;
+        with continuous controls the leaves simulate, so none are kept."""
+        if has_u:
+            return None
+        return _step(system, grid_coarse.node(k), ys[rows], np.zeros((len(rows), 0)),
+                     onehot_rows[taken], h)[0]
+
+    # Stack entries: (mode sequences, joint automaton states, states after
+    # the last interval), one row per node of the chunk.
+    stack = []
+
+    def push(seqs, states, ys):
+        for start in reversed(range(0, len(seqs), chunk_rows)):
+            rows = slice(start, start + chunk_rows)
+            stack.append((seqs[rows], states[rows], None if ys is None else ys[rows]))
+
+    first = np.arange(m)
+    push(first.astype(np.min_scalar_type(m - 1))[:, None], initial,
+         advance(0, system.initial_state[None], np.zeros(m, dtype=np.int64), first))
 
     best_value = np.inf
     best_sequence = None
     best_u = None
     nodes = 0
     truncated = False
-
-    # Stack entries: (depth, mode sequence, automaton states, state-after-interval)
-    stack = []
-    for mode in range(m - 1, -1, -1):
-        y1 = None if has_u else _step(
-            system, grid_coarse.node(0), system.initial_state, u_stub, onehot_rows[mode], h
-        )[0]
-        states = tuple(
-            int(a.initial_state[value]) for a, value in zip(automata, mode_values[mode])
-        )
-        stack.append((0, (mode,), states, y1))
-
     while stack:
         if nodes >= max_nodes:
             truncated = True
             break
-        depth, seq, states, y = stack.pop()
-        nodes += 1
-        if depth == n - 1:
+        seqs, states, ys = stack.pop()
+        nodes += len(seqs)
+        k = seqs.shape[1]
+        if k < n:
+            rows, taken, children = expand(states)
+            push(np.column_stack((seqs[rows], taken.astype(seqs.dtype))), children,
+                 advance(k, ys, rows, taken))
+            continue
+        for i, seq in enumerate(seqs):
             if has_u:
-                w_values = onehot_rows[np.array(seq)]
-                u_vals, value = best_response_continuous(system, grid_coarse, w_values)
+                u_vals, value = best_response_continuous(system, grid_coarse, onehot_rows[seq])
             else:
                 u_vals = None
-                value = float(system.terminal_cost(y))
+                value = float(system.terminal_cost(ys[i]))
             if value < best_value:
                 best_value = value
                 best_sequence = seq
                 best_u = u_vals
-            continue
-        k = depth + 1
-        children = []
-        for mode in range(m):
-            # A mode is taken only when every component's lock allows it.
-            next_states = tuple(
-                table[s][value] for table, s, value in zip(tables, states, mode_values[mode])
-            )
-            if -1 in next_states:
-                continue
-            y_next = None if has_u else _step(
-                system, grid_coarse.node(k), y, u_stub, onehot_rows[mode], h
-            )[0]
-            children.append((k, seq + (mode,), next_states, y_next))
-        stack.extend(reversed(children))  # pop order = ascending mode index
 
     if best_sequence is None:
-        raise InfeasibleError("oracle found no feasible mode sequence")
+        if truncated:
+            raise CapacityError(
+                f"the oracle's node budget of {max_nodes} ran out before the first "
+                "complete mode sequence"
+            )
+        raise InfeasibleError("no complete mode sequence has a value below infinity")
     return OracleResult(
-        best_control=BinaryControlPath(grid_coarse, modes.values[list(best_sequence)]),
+        best_control=BinaryControlPath(grid_coarse, modes.values[best_sequence]),
         best_value=float(best_value),
         nodes_explored=nodes,
         proven_optimal=not truncated,

@@ -52,10 +52,13 @@ class SwitchedSystem:
     final state only.
 
     The stacked hooks are optional speed-ups returning float arrays.  Absent
-    ones are derived from the per-mode callables; supplied ones must match
-    them bitwise on one-hot rows (up to the sign of zero).  Derived hooks are
-    stored in their fields, so a ``dataclasses.replace`` copy with new
-    per-mode callables must pass the hooks as None to derive them again.
+    ones are derived from the per-mode callables (``rhs_batch`` from
+    ``rhs_stack``, row by row); supplied ones must match them bitwise on
+    one-hot rows (up to the sign of zero).  ``rhs_batch`` evaluates
+    ``rhs_stack`` at each row of a (B, n_y) state array and a (B, m_u)
+    control array.  Derived hooks are stored in their fields, so a
+    ``dataclasses.replace`` copy with new per-mode callables must pass the
+    hooks as None to derive them again.
     """
 
     state_dim: int
@@ -74,6 +77,7 @@ class SwitchedSystem:
     rhs_stack: Optional[Callable] = None            # (t, y, u) -> (n_modes, n_y)
     combined_jac_state: Optional[Callable] = None   # (t, y, u, weights) -> (n_y, n_y)
     combined_jac_control: Optional[Callable] = None  # (t, y, u, weights) -> (n_y, m_u)
+    rhs_batch: Optional[Callable] = None            # (t, Y, U) -> (B, n_modes, n_y)
 
     def __post_init__(self):
         y0 = np.asarray(self.initial_state, dtype=np.float64).reshape(-1)
@@ -99,6 +103,8 @@ class SwitchedSystem:
         modes = self.modes.values
         if self.rhs_stack is None:
             object.__setattr__(self, "rhs_stack", _stacked(self.rhs, modes))
+        if self.rhs_batch is None:
+            object.__setattr__(self, "rhs_batch", _batched(self.rhs_stack))
         if self.combined_jac_state is None:
             object.__setattr__(self, "combined_jac_state", _combined(
                 self.rhs_jac_state, modes, (self.state_dim, self.state_dim)
@@ -115,6 +121,14 @@ def _stacked(rhs: Callable, modes: np.ndarray) -> Callable:
         return np.array([rhs(t, y, u, r) for r in modes], dtype=np.float64)
 
     return rhs_stack
+
+
+def _batched(rhs_stack: Callable) -> Callable:
+    """``rhs_batch`` built from ``rhs_stack``, one row at a time."""
+    def rhs_batch(t, ys, us):
+        return np.array([rhs_stack(t, y, u) for y, u in zip(ys, us)], dtype=np.float64)
+
+    return rhs_batch
 
 
 def _combined(jac: Callable, modes: np.ndarray, shape: tuple) -> Callable:
@@ -174,26 +188,39 @@ def _step(system: SwitchedSystem, t: float, y: np.ndarray, u_k: np.ndarray,
 
     Returns (y_next, stage_states, stage_fields): the states at which the
     stages were evaluated and the per-mode fields (n_modes, n_y) there.
+    With a leading batch axis on ``y``, ``u_k`` and ``w_k`` each row takes
+    this step at the same time t, through ``rhs_batch`` and a stacked
+    row-vector ``matmul``; on one-hot rows a row's result is the one-row
+    step's.
     """
-    stack = system.rhs_stack
+    if y.ndim == 1:
+        stack, combine = system.rhs_stack, np.matmul
+    else:
+        stack, combine = system.rhs_batch, _combine_rows
     if system.integrator == EULER:
         f1 = stack(t, y, u_k)
-        return y + h * (w_k @ f1), (y,), (f1,)
+        return y + h * combine(w_k, f1), (y,), (f1,)
     half_h = 0.5 * h
     t_mid = t + half_h
     f1 = stack(t, y, u_k)
-    s1 = w_k @ f1
+    s1 = combine(w_k, f1)
     y2 = y + half_h * s1
     f2 = stack(t_mid, y2, u_k)
-    s2 = w_k @ f2
+    s2 = combine(w_k, f2)
     y3 = y + half_h * s2
     f3 = stack(t_mid, y3, u_k)
-    s3 = w_k @ f3
+    s3 = combine(w_k, f3)
     y4 = y + h * s3
     f4 = stack(t + h, y4, u_k)
-    s4 = w_k @ f4
+    s4 = combine(w_k, f4)
     y_next = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
     return y_next, (y, y2, y3, y4), (f1, f2, f3, f4)
+
+
+def _combine_rows(w: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Row-wise ``w[b] @ fields[b]`` of (B, n_modes) weights and
+    (B, n_modes, n_y) fields."""
+    return np.matmul(w[:, None, :], fields)[:, 0]
 
 
 def _integrate_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,

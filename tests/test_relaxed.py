@@ -78,6 +78,10 @@ class TestProjectSimplex:
         with pytest.raises(DimensionError):
             so.project_simplex(np.array([np.nan, 0.0]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError):
+            so.project_simplex(np.array([]))
+
 
 def default_start(system, grid):
     u = so.ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import CapacityError
-from switchopt.rounding import _DwellAutomaton, _solve_dwell_dp
+from switchopt import rounding
+from switchopt.rounding import ORACLE_CHUNK_ROWS, _DwellAutomaton, _solve_dwell_dp
+from switchopt.simulate import _step
 
 from conftest import make_zero_system
 
@@ -671,6 +674,136 @@ class TestConstrainedCiap:
         assert (res.deviation, res.nodes_explored, res.proven_optimal, path) == want
 
 
+def make_two_switch_system():
+    """Two switches (four modes) forcing a harmonic oscillator whose squared
+    position is tracked; the per-mode callables derive every hook."""
+    def rhs(t, y, u, r):
+        return np.array([y[1] + r[0] - 0.4, 0.3 * r[1] - 0.5 * y[0] - 0.1, y[0] * y[0]])
+
+    def rhs_jac_state(t, y, u, r):
+        return np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.0], [2.0 * y[0], 0.0, 0.0]])
+
+    return so.SwitchedSystem(
+        state_dim=3,
+        control_dim=0,
+        modes=so.enumerate_modes(2),
+        rhs=rhs,
+        rhs_jac_state=rhs_jac_state,
+        rhs_jac_control=lambda t, y, u, r: np.zeros((3, 0)),
+        terminal_cost=lambda y: y[2] + (y[0] - 0.05) ** 2 + y[1] ** 2,
+        terminal_cost_gradient=lambda y: np.array([2.0 * (y[0] - 0.05), 2.0 * y[1], 1.0]),
+        initial_state=np.array([0.02, 0.0, 0.0]),
+        control_lower=np.zeros(0),
+        control_upper=np.zeros(0),
+    )
+
+
+def small_controlled_translines():
+    """Four-step translines instance with two continuous controls, small
+    enough that every complete sequence's best response is solved."""
+    cfg = so.translines_subgrid_config(volumes_per_line=2, n_time_steps=52)
+    return so.build_translines(so.TranslinesConfig(
+        nodes=cfg.nodes, lines=cfg.lines, switch_groups=cfg.switch_groups,
+        producers=cfg.producers,
+        consumers=tuple(
+            (node, ((0.0, q0), (2.0, q0)))
+            for (node, table), q0 in zip(cfg.consumers, (0.4, 0.3, 0.5, 0.2, 0.3))
+        ),
+        volumes_per_line=1, n_time_steps=4, t_end=2.0, tau_min=1.0,
+    ))
+
+
+def fuller_oracle_case(n, d, dmax, budget, representation):
+    system, _, _ = so.build_fuller(so.FullerConfig(0.1, 20))
+    spec = so.CombinatorialSpec.uniform(
+        1, d, max_dwell=dmax, max_switches=budget, representation=representation
+    )
+    return system, so.TimeGrid(0.0, 1.0, n), spec
+
+
+# (system, grid, spec) builders of the reference-walk cases, by test id.
+ORACLE_CASES = {
+    "fuller modewise N=12 d=2": lambda: fuller_oracle_case(12, 2, None, None, so.MODEWISE),
+    "fuller modewise N=14 d=2 dmax=4 budget=3": (
+        lambda: fuller_oracle_case(14, 2, 4, 3, so.MODEWISE)),
+    "fuller componentwise N=16 d=3": (
+        lambda: fuller_oracle_case(16, 3, None, None, so.COMPONENTWISE)),
+    "fuller componentwise N=12 d=1 dmax=3": (
+        lambda: fuller_oracle_case(12, 1, 3, None, so.COMPONENTWISE)),
+    "fuller componentwise N=14 d=2 budget=3": (
+        lambda: fuller_oracle_case(14, 2, None, 3, so.COMPONENTWISE)),
+    "two switches componentwise": lambda: (
+        make_two_switch_system(), so.TimeGrid(0.0, 1.0, 8),
+        so.CombinatorialSpec(min_dwell=(1, 2), max_dwell=(2, 3), max_switches=(3, 2))),
+    "two switches modewise": lambda: (
+        make_two_switch_system(), so.TimeGrid(0.0, 1.0, 8),
+        so.CombinatorialSpec.uniform(1, 2, max_switches=3, representation=so.MODEWISE)),
+    # Every complete sequence ties at value 0: the first one must win.
+    "zero system": lambda: (
+        make_zero_system(n_modes=4), so.TimeGrid(0.0, 1.0, 6),
+        so.CombinatorialSpec(min_dwell=(1, 2), max_dwell=(2, 3), max_switches=(3, 2))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_tree_size(name):
+    return reference_oracle(*ORACLE_CASES[name]())[2]
+
+
+def reference_oracle(system, grid, spec, max_nodes=10_000_000):
+    """The oracle as a node-by-node depth-first walk in ascending mode order,
+    one one-row step per node; returns (value, sequence, nodes, proven,
+    best_u), with sequence None when no complete sequence was reached."""
+    n, m = grid.n_intervals, system.modes.n_modes
+    if spec.representation == so.MODEWISE:
+        automata = (_DwellAutomaton(m, *spec.component(0)),)
+        mode_values = [(mode,) for mode in range(m)]
+    else:
+        automata = tuple(
+            _DwellAutomaton(2, *spec.component(c)) for c in range(spec.n_components)
+        )
+        mode_values = [tuple(int(b) for b in row) for row in system.modes.values]
+    tables = [a.next_state.tolist() for a in automata]
+    has_u = system.control_dim > 0
+    u_stub = np.zeros(system.control_dim)
+    onehot_rows = np.eye(m)
+    best = (np.inf, None, None)
+    nodes = 0
+    stack = []
+    for mode in range(m - 1, -1, -1):
+        y1 = None if has_u else _step(
+            system, grid.node(0), system.initial_state, u_stub, onehot_rows[mode], grid.step
+        )[0]
+        states = tuple(int(a.initial_state[v]) for a, v in zip(automata, mode_values[mode]))
+        stack.append((0, (mode,), states, y1))
+    while stack:
+        if nodes >= max_nodes:
+            break
+        depth, seq, states, y = stack.pop()
+        nodes += 1
+        if depth == n - 1:
+            if has_u:
+                u_vals, value = so.best_response_continuous(system, grid, onehot_rows[list(seq)])
+            else:
+                u_vals, value = None, float(system.terminal_cost(y))
+            if value < best[0]:
+                best = (value, seq, u_vals)
+            continue
+        children = []
+        for mode in range(m):
+            following = tuple(
+                table[s][v] for table, s, v in zip(tables, states, mode_values[mode])
+            )
+            if -1 in following:
+                continue
+            y_next = None if has_u else _step(
+                system, grid.node(depth + 1), y, u_stub, onehot_rows[mode], grid.step
+            )[0]
+            children.append((depth + 1, seq + (mode,), following, y_next))
+        stack.extend(reversed(children))
+    return best[0], best[1], nodes, not stack, best[2]
+
+
 class TestGlobalOracle:
     def test_sequence_count_matches_independent_enumeration(self):
         system, _, _ = so.build_fuller(so.FullerConfig(0.5, 4))
@@ -788,27 +921,56 @@ class TestGlobalOracle:
         with pytest.raises(CapacityError):
             so.global_oracle(system, grid, spec)
 
+    @staticmethod
+    def assert_same_walk(system, grid, spec, max_nodes=10_000_000):
+        value, seq, nodes, proven, best_u = reference_oracle(system, grid, spec, max_nodes)
+        res = so.global_oracle(system, grid, spec, max_nodes)
+        assert float(res.best_value).hex() == float(value).hex()
+        assert np.array_equal(res.best_control.values, system.modes.values[list(seq)])
+        assert (res.nodes_explored, res.proven_optimal) == (nodes, proven)
+        assert (res.best_u is None) == (best_u is None)
+        if best_u is not None:
+            assert np.array_equal(res.best_u, best_u)
+        return res
+
+    @pytest.mark.parametrize("name", [*ORACLE_CASES, "translines controlled"])
+    @pytest.mark.parametrize("chunk_rows", [ORACLE_CHUNK_ROWS, 3, 1])
+    def test_matches_reference_walk(self, monkeypatch, name, chunk_rows):
+        # Small chunks split every level, so chunk order is exercised too.
+        monkeypatch.setattr(rounding, "ORACLE_CHUNK_ROWS", chunk_rows)
+        case = ORACLE_CASES.get(name, small_controlled_translines)()
+        res = self.assert_same_walk(*case)
+        assert res.proven_optimal
+
+    @pytest.mark.parametrize("name", ORACLE_CASES)
+    @pytest.mark.parametrize("budget", ["n", 50, 500, "size - 1", "size"])
+    def test_matches_reference_walk_under_node_budget(self, name, budget):
+        system, grid, spec = ORACLE_CASES[name]()
+        size = oracle_tree_size(name)
+        max_nodes = {"n": grid.n_intervals, "size - 1": size - 1, "size": size}.get(budget, budget)
+        res = self.assert_same_walk(system, grid, spec, max_nodes)
+        assert res.proven_optimal == (max_nodes >= size)
+        assert res.nodes_explored == min(max_nodes, size)
+
+    @pytest.mark.parametrize("max_nodes", [0, 10, 19])
+    def test_budget_before_first_leaf_is_a_capacity_error(self, max_nodes):
+        # The first complete sequence is node 20 of the walk; the problem is
+        # feasible, so running out before it is the budget's doing.
+        system, grid, spec = so.build_fuller(so.FullerConfig(0.1, 20))
+        with pytest.raises(CapacityError, match="node budget"):
+            so.global_oracle(system, grid, spec, max_nodes=max_nodes)
+        assert so.global_oracle(system, grid, spec, max_nodes=20).nodes_explored == 20
+
     def test_node_budget_gives_partial_result(self):
         system, grid, spec = so.build_fuller(so.FullerConfig(0.1, 20))
         res = so.global_oracle(system, grid, spec, max_nodes=50)
         assert not res.proven_optimal
         assert np.isfinite(res.best_value)
 
-    def test_with_continuous_controls_solves_inner_problem(self, translines_coarse):
-        system, _, _ = translines_coarse
+    def test_with_continuous_controls_solves_inner_problem(self):
         # Tiny horizon keeps the enumeration small; m_u > 0 triggers the
         # inner best-response solve at every complete sequence.
-        cfg = so.translines_subgrid_config(volumes_per_line=2, n_time_steps=52)
-        small = so.TranslinesConfig(
-            nodes=cfg.nodes, lines=cfg.lines, switch_groups=cfg.switch_groups,
-            producers=cfg.producers,
-            consumers=tuple(
-                (node, ((0.0, q0), (2.0, q0)))
-                for (node, table), q0 in zip(cfg.consumers, (0.4, 0.3, 0.5, 0.2, 0.3))
-            ),
-            volumes_per_line=1, n_time_steps=4, t_end=2.0, tau_min=1.0,
-        )
-        sys_small, grid_small, spec_small = so.build_translines(small)
+        sys_small, grid_small, spec_small = small_controlled_translines()
         res = so.global_oracle(sys_small, grid_small, spec_small)
         assert res.proven_optimal
         assert res.best_u is not None

@@ -6,7 +6,9 @@ import pytest
 
 import switchopt as so
 from switchopt.errors import DimensionError, DivergenceError
-from switchopt.simulate import EULER, RK4, _RK_B, _adjoint_values, _integrate_values
+from switchopt.simulate import (
+    EULER, RK4, _RK_B, _adjoint_values, _integrate_values, _step,
+)
 
 from conftest import make_blowup_system, make_zero_system
 
@@ -430,7 +432,7 @@ class TestSystemContract:
         system, grid, _ = request.getfixturevalue(request.param)
         per_mode = dataclasses.replace(
             system, rhs_stack=None, combined_jac_state=None,
-            combined_jac_control=None,
+            combined_jac_control=None, rhs_batch=None,
         )
         rng = np.random.default_rng(41)
         n = grid.n_intervals
@@ -469,6 +471,24 @@ class TestSystemContract:
                     assert np.array_equal(got, want)
                 elif want.size:
                     assert relative_error(got, want) <= 1e-13
+
+    def test_rhs_batch_bitwise(self, case):
+        system, per_mode, grid, u, _, _ = case
+        ys = np.random.default_rng(43).standard_normal((7, system.state_dim))
+        derived = dataclasses.replace(system, rhs_batch=None)
+        want = np.array([system.rhs_stack(grid.node(3), y, uk) for y, uk in zip(ys, u)])
+        assert want.shape == (7, system.modes.n_modes, system.state_dim)
+        for hooked in (system, derived, per_mode):
+            got = hooked.rhs_batch(grid.node(3), ys, u[:7])
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+
+    def test_batched_step_rows_match_single_steps(self, case):
+        system, _, grid, u, _, onehot = case
+        ys = np.random.default_rng(44).standard_normal((7, system.state_dim))
+        t, h = grid.node(3), grid.step
+        got = _step(system, t, ys, u[:7], onehot[:7], h)[0]
+        for b in range(7):
+            assert np.array_equal(got[b], _step(system, t, ys[b], u[b], onehot[b], h)[0])
 
     def test_value_and_gradients(self, case):
         system, per_mode, grid, u, w, _ = case

@@ -11,7 +11,9 @@ Covered outputs:
   ``adm-sur`` at tau_min 0.02, 0.05 and 0.1, the Fuller ``oracle`` at N=20,
   and translines ``adm``/``adm-sur``/``ciap`` (52 steps, 2 volumes per line);
 * ``dwell_project_weighted``, ``constrained_ciap`` and ``global_oracle`` on
-  seeded instances, with and without maximum dwell times and switch budgets.
+  seeded instances, with and without maximum dwell times and switch budgets;
+* ``global_oracle`` budget exits (Fuller N=20 at 20 and 50 nodes) and a
+  four-step translines instance whose leaves solve for continuous controls.
 """
 
 from __future__ import annotations
@@ -116,6 +118,32 @@ def _library_lines():
         yield (f"global_oracle fuller N={n} d={d} dmax={dmax} budget={budget} {rep}",
                _digest(res.best_control.values.tobytes(), res.best_value,
                        res.nodes_explored, res.proven_optimal))
+
+    # Budget exits of the node-by-node walk, then leaf solves over controls.
+    fuller, grid, spec = switchopt.build_fuller(switchopt.FullerConfig(tau_min=0.1, n_intervals=20))
+    for max_nodes in (20, 50):
+        res = switchopt.global_oracle(fuller, grid, spec, max_nodes=max_nodes)
+        yield (f"global_oracle fuller N=20 max_nodes={max_nodes}",
+               _digest(res.best_control.values.tobytes(), res.best_value,
+                       res.nodes_explored, res.proven_optimal))
+    res = switchopt.global_oracle(*_small_controlled_translines())
+    yield ("global_oracle translines N=4 with controls",
+           _digest(res.best_control.values.tobytes(), res.best_value, res.nodes_explored,
+                   res.proven_optimal, res.best_u.tobytes()))
+
+
+def _small_controlled_translines():
+    """Four steps of a one-volume-per-line network with two power controls."""
+    cfg = switchopt.translines_subgrid_config(volumes_per_line=2, n_time_steps=52)
+    return switchopt.build_translines(switchopt.TranslinesConfig(
+        nodes=cfg.nodes, lines=cfg.lines, switch_groups=cfg.switch_groups,
+        producers=cfg.producers,
+        consumers=tuple(
+            (node, ((0.0, q0), (2.0, q0)))
+            for (node, _), q0 in zip(cfg.consumers, (0.4, 0.3, 0.5, 0.2, 0.3))
+        ),
+        volumes_per_line=1, n_time_steps=4, t_end=2.0, tau_min=1.0,
+    ))
 
 
 def main() -> int:

@@ -105,6 +105,8 @@ class RunConfig:
             raise ConfigurationError("interval and volume counts must be >= 1")
         if self.problem == "custom-file" and not self.problem_file:
             raise ConfigurationError("custom-file problems need --problem-file")
+        if self.label is not None and (Path(self.label).name != self.label or "\0" in self.label):
+            raise ConfigurationError(f"label {self.label!r} must be a plain file name")
         try:
             return PenaltySchedule(
                 rho_initial=self.rho_initial,
@@ -113,6 +115,15 @@ class RunConfig:
             )
         except DimensionError as exc:
             raise ConfigurationError(f"penalty ladder: {exc}") from exc
+
+
+def _output_dir(path: str) -> Path:
+    """The output directory, created with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigurationError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def _fmt(x: float) -> str:
@@ -326,8 +337,7 @@ def run(config: RunConfig) -> dict:
     lets solver infeasibility surface as a record with an error entry.
     """
     schedule = config.validate()
-    out_dir = Path(config.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.output_path)
     label = config.label or f"{config.problem}_{config.method}"
     config, (system, grid, spec) = _load_problem(config)
     if config.method == "oracle" and grid.n_intervals > MAX_ORACLE_INTERVALS:
@@ -395,8 +405,7 @@ def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None)
         raise ConfigurationError(
             f"sweep of {len(values) * len(methods)} cells exceeds the cap {MAX_SWEEP_CELLS}"
         )
-    out_dir = Path(base.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(base.output_path)
     table_rows = []
     for value in values:
         row = [value]

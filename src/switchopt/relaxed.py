@@ -10,7 +10,8 @@ accepted iterate walks the accepted trial's sweep backwards, so every
 accepted iterate costs one forward sweep, not two.
 
 One loop, ``_minimize``, serves both solves: the relaxed solve over (u, w),
-and the oracle's continuous best response over u with w held fixed.
+and the oracle's continuous best response over u with w held fixed (an
+all-zero penalty table).  Both minimize ``simulate._penalized_value``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .core import (
     _is_int,
 )
 from .errors import DimensionError, DivergenceError
-from .simulate import SwitchedSystem, _adjoint_values, _integrate_values, _penalty_weights
+from .simulate import (SwitchedSystem, _adjoint_values, _integrate_values,
+                       _penalized_value, _penalty_weights)
 
 # Armijo sufficient-decrease fraction and the step shrink per rejected trial.
 ARMIJO_C = 1e-4
@@ -85,38 +87,31 @@ def project_rows_to_simplex(mat: np.ndarray) -> np.ndarray:
 
 
 class _PenalizedProblem:
-    """Raw-array value/gradient oracle for one fixed (v_tilde, rho) pair.
+    """Raw-array value/gradient oracle for one fixed penalty table ``pen``
+    (a ``_penalty_weights`` table; all zeros for the plain objective).
 
     With ``hold_w`` the multipliers are data, not variables: their gradient
     is reported as zero and ``project`` passes them through, so the shared
     loop moves u alone.
     """
 
-    def __init__(self, system: SwitchedSystem, grid: TimeGrid,
-                 v_tilde: BinaryControlPath, rho: float, hold_w: bool = False):
+    def __init__(self, system: SwitchedSystem, grid: TimeGrid, pen: np.ndarray,
+                 hold_w: bool = False):
         self.system = system
         self.grid = grid
-        self.rho = rho
+        self.pen = pen
         self.hold_w = hold_w
-        self.penalty_grad_w = (
-            _penalty_weights(system, grid, v_tilde, rho) if rho > 0 else None
-        )
-        self.lower = system.control_lower
-        self.upper = system.control_upper
 
     def value(self, u_values, w_values):
         """Penalized value and the (states, stages) forward sweep behind it."""
         stages = []
         states = _integrate_values(self.system, self.grid, u_values, w_values, stages)
-        val = float(self.system.terminal_cost(states[-1]))
-        if self.penalty_grad_w is not None:
-            val += float((w_values * self.penalty_grad_w).sum())
-        return val, (states, stages)
+        return _penalized_value(self.system, states, w_values, self.pen), (states, stages)
 
     def value_and_gradient(self, u_values, w_values, sweep=None):
         """``sweep``, when given, is ``value``'s sweep at these same arrays."""
         val, grad_u, grad_w = _adjoint_values(
-            self.system, self.grid, u_values, w_values, self.penalty_grad_w, sweep
+            self.system, self.grid, u_values, w_values, self.pen, sweep
         )
         if self.hold_w:
             grad_w = np.zeros_like(w_values)
@@ -124,7 +119,7 @@ class _PenalizedProblem:
 
     def project(self, u_values, w_values):
         u_proj = (
-            np.clip(u_values, self.lower, self.upper)
+            np.clip(u_values, self.system.control_lower, self.system.control_upper)
             if u_values.size
             else u_values
         )
@@ -213,12 +208,10 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
     implies global optimality of the subproblem up to the matching accuracy;
     for nonconvex instances it is a stationarity surrogate only.
     """
-    if rho < 0:
-        raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
     u0, w0 = warm_start
     if u0.grid != grid or w0.grid != grid:
         raise DimensionError("warm start lives on a different grid")
-    problem = _PenalizedProblem(system, grid, v_tilde, rho)
+    problem = _PenalizedProblem(system, grid, _penalty_weights(system, grid, v_tilde, rho))
     u_vals, w_vals, fx, res, iterations, converged = _minimize(
         problem, u0.values.copy(), w0.values.copy(), options
     )
@@ -241,6 +234,6 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
     leaves.
     """
     u0 = ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)
-    problem = _PenalizedProblem(system, grid, None, 0.0, hold_w=True)
+    problem = _PenalizedProblem(system, grid, np.zeros_like(w_values), hold_w=True)
     u_vals, _, fx, _, _, _ = _minimize(problem, u0.values.copy(), w_values, options)
     return u_vals, fx

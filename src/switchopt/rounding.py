@@ -88,8 +88,6 @@ class _DwellAutomaton:
 
     def __init__(self, n_values: int, min_dwell: int,
                  max_dwell: Optional[int], max_switches: Optional[int]):
-        if min_dwell < 1:
-            raise DimensionError("min dwell must be >= 1")
         run_cap = (max_dwell + 1) if max_dwell is not None else min_dwell
         levels = 1 if max_switches is None else max_switches + 1
         value, run, first, used = np.indices((n_values, run_cap, 2, levels)).reshape(4, -1)
@@ -148,9 +146,7 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
     terminal state of least cost.  Only the current row is kept: the
     per-group cost columns already take the memory a full table would.
     """
-    n_intervals, n_values = costs.shape
-    if n_values != automaton.n_values:
-        raise DimensionError("cost table width does not match the automaton")
+    n_intervals = costs.shape[0]
     groups = [
         (targets, sources, np.arange(len(targets)), costs[:, values, None])
         for targets, values, sources in automaton.predecessor_groups()
@@ -168,8 +164,6 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
             new_pred[targets] = sources[rows, j]
         row = new_row
     s = int(np.argmin(row))
-    if not np.isfinite(row[s]):
-        raise InfeasibleError("no dwell-feasible sequence exists on this grid")
     sequence = np.empty(n_intervals, dtype=np.int64)
     for k in range(n_intervals - 1, -1, -1):
         sequence[k] = automaton.values[s]

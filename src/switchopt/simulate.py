@@ -16,7 +16,8 @@ recorded forward sweep at the same point hands it over and skips the pass.
 The reverse interval loop runs only the adjoint recursion and records each
 stage's weight; the w- and u-contractions run after it as stacked
 ``np.matmul`` products (bitwise equal to per-interval 2-D products, which
-``np.einsum`` is not).
+``np.einsum`` is not).  The coupling penalty is one linear table,
+``_penalty_weights``, and every penalized value is ``_penalized_value``.
 """
 
 from __future__ import annotations
@@ -268,12 +269,21 @@ def _penalty_weights(system: SwitchedSystem, grid: TimeGrid,
                      v_tilde: BinaryControlPath, rho: float = 1.0) -> np.ndarray:
     """rho * step * |r^i - v_tilde_k|_1 table of the coupling penalty.
 
-    Also the penalty's w-gradient; at rho = 1 it is the unweighted table
+    Also the penalty's w-gradient.  rho must be finite and >= 0; rho = 0
+    gives the all-zero table, and at rho = 1 it is the unweighted table
     exactly, since 1.0 * step is exact.
     """
+    if not 0 <= rho < np.inf:
+        raise DimensionError(f"penalty parameter must be finite and >= 0, got {rho}")
     if v_tilde.grid != grid:
         raise DimensionError("penalty reference lives on a different grid")
     return rho * grid.step * mode_deviation_costs(system.modes, v_tilde)
+
+
+def _penalized_value(system: SwitchedSystem, states: np.ndarray,
+                     w_values: np.ndarray, pen: np.ndarray) -> float:
+    """Terminal cost at the final node state plus the penalty sum(w * pen)."""
+    return float(system.terminal_cost(states[-1])) + float((w_values * pen).sum())
 
 
 def penalized_objective(system: SwitchedSystem, grid: TimeGrid,
@@ -283,12 +293,10 @@ def penalized_objective(system: SwitchedSystem, grid: TimeGrid,
 
     The penalty accumulator state has a piecewise-constant derivative, so its
     terminal value is evaluated in closed form instead of being integrated.
+    This is bitwise the value the relaxed solver minimizes.
     """
-    if rho < 0:
-        raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
-    base = objective(system, integrate(system, grid, u, w))
-    coeffs = _penalty_weights(system, grid, v_tilde)
-    return base + rho * float((w.values * coeffs).sum())
+    pen = _penalty_weights(system, grid, v_tilde, rho)
+    return _penalized_value(system, integrate(system, grid, u, w).states, w.values, pen)
 
 
 def weighted_penalty_value(system: SwitchedSystem, grid: TimeGrid,
@@ -302,12 +310,12 @@ _RK_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                    w_values: np.ndarray, penalty_grad_w: Optional[np.ndarray],
+                    w_values: np.ndarray, pen: np.ndarray,
                     sweep: Optional[tuple] = None):
     """Reverse sweep on raw arrays.
 
-    Returns (value, grad_u, grad_w) of terminal cost plus the linear penalty
-    whose w-gradient is ``penalty_grad_w`` (already scaled by rho and step).
+    Returns (value, grad_u, grad_w) of ``_penalized_value`` with the penalty
+    table ``pen`` (a ``_penalty_weights`` table, the penalty's w-gradient).
     The forward sweep keeps its stage states and per-mode stage fields, and
     the adjoint rolls back through them.  ``sweep`` is an optional
     (states, stages) pair already recorded by ``_integrate_values`` at these
@@ -321,12 +329,8 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
         states = _integrate_values(system, grid, u_values, w_values, stages)
     else:
         states, stages = sweep
-    value = float(system.terminal_cost(states[-1]))
+    value = _penalized_value(system, states, w_values, pen)
     grad_u = np.zeros_like(u_values)
-    grad_w = np.zeros_like(w_values)
-    if penalty_grad_w is not None:
-        value += float((w_values * penalty_grad_w).sum())
-        grad_w += penalty_grad_w
 
     lam = np.asarray(system.terminal_cost_gradient(states[-1]), dtype=np.float64).copy()
     rk4 = system.integrator == RK4
@@ -377,7 +381,7 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
     # np.einsum sums in another order and is not.
     weights = stage_weights[..., None]
     stage_fields = np.array([fields for _, fields in stages])
-    grad_w += _stage_sum(np.matmul(stage_fields, weights)[..., 0], h)
+    grad_w = pen + _stage_sum(np.matmul(stage_fields, weights)[..., 0], h)
     if has_u:
         grad_u += _stage_sum(np.matmul(stage_jac_u.swapaxes(2, 3), weights)[..., 0], h)
     return value, grad_u, grad_w
@@ -401,9 +405,7 @@ def adjoint_gradient(system: SwitchedSystem, grid: TimeGrid,
     with central finite differences on the discrete problem.
     """
     _check_control_shapes(system, grid, u, w)
-    if rho < 0:
-        raise DimensionError(f"penalty parameter must be >= 0, got {rho}")
-    pen = _penalty_weights(system, grid, v_tilde, rho) if rho > 0 else None
+    pen = _penalty_weights(system, grid, v_tilde, rho)
     _, grad_u, grad_w = _adjoint_values(system, grid, u.values, w.values, pen)
     return grad_u, grad_w
 

@@ -343,3 +343,13 @@ class TestModewiseIntegration:
         assert res.feasible
         rows = {tuple(row) for row in res.v_final.values}
         assert rows <= set(slopes)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: so.AdmOptions(variant="x"), id="unknown-variant"),
+    pytest.param(lambda: so.lift_to_modewise(so.CombinatorialSpec((2, 2), max_dwell=(3, 3))),
+                 id="lift-max-dwell"),
+])
+def test_rejects_bad_input(build):
+    with pytest.raises(DimensionError):
+        build()

@@ -236,3 +236,21 @@ class TestTranslines:
         _, _, spec = so.build_translines(cfg)
         assert spec.representation == so.MODEWISE
         assert spec.n_components == 1
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: so.FullerConfig(n_intervals=0), id="fuller-no-intervals"),
+    pytest.param(lambda: single_line_config(volumes_per_line=0), id="no-volumes"),
+    pytest.param(lambda: single_line_config(representation="x"), id="representation"),
+    pytest.param(lambda: single_line_config(producers=(("nowhere", 0.0, 1.0),)),
+                 id="unknown-producer-node"),
+    pytest.param(lambda: single_line_config(consumers=(("nowhere", ((0.0, 0.5), (8.0, 0.5))),)),
+                 id="unknown-consumer-node"),
+    pytest.param(lambda: single_line_config(consumers=(("dst", ((8.0, 0.5), (0.0, 0.5))),)),
+                 id="unsorted-breakpoints"),
+    pytest.param(lambda: so.build_translines(single_line_config(switch_groups=())),
+                 id="no-switch-group"),
+])
+def test_rejects_bad_input(build):
+    with pytest.raises(ConfigurationError):
+        build()

@@ -376,10 +376,11 @@ class TestMain:
         ({"volumes_per_line": True}, []),
         ({"n_time_steps": True, "t_end": 0.5, "tau_min": 0.5,
           "consumers": [{"node": "dst", "demand": [[0.0, 0.4], [0.5, 0.4]]}]}, []),
+        ({"producers": [{"lower": 0.0, "upper": 2.0}]}, []),
     ], ids=["tau-nan", "tau-inf", "17-switch-groups", "oracle-over-file-grid",
             "volumes-1.5", "volumes-2.0", "steps-16.5", "speed-nan", "demand-nan",
             "length-nan", "upper-inf", "lower-above-upper", "group-entry-0.5",
-            "group-entry-true", "volumes-true", "steps-true"])
+            "group-entry-true", "volumes-true", "steps-true", "producer-without-node"])
     def test_bad_problem_file_content_exit_two(self, tmp_path, capsys, overrides, flags):
         pfile = write_problem_file(tmp_path, **overrides)
         code = cli.main([
@@ -420,6 +421,65 @@ class TestMain:
         ])
         assert code == 4
         assert "solver failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_output_path_at_a_file_exit_two(self, tmp_path, capsys, command, under):
+        """An --out that is an existing file, or a path under one, is a
+        configuration error, not a traceback."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out = blocker / "sub" if under else blocker
+        argv = [command, "--problem", "fuller", "--n-intervals", "20", "--out", str(out)]
+        argv += ["--method", "sur"] if command == "run" else ["--methods", "sur",
+                                                             "--tau-min-values", "0.1"]
+        assert cli.main(argv) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("label", ["../../x", "sub/x", "nul\0byte"])
+    def test_label_not_a_plain_file_name_exit_two(self, tmp_path, capsys, label):
+        out = tmp_path / "a" / "b"
+        cfg_file = tmp_path / "run.yaml"
+        yaml.safe_dump({"problem": "fuller", "method": "sur", "n_intervals": 20,
+                        "output_path": str(out), "label": label}, cfg_file.open("w"))
+        assert cli.main(["run", "--config", str(cfg_file)]) == 2
+        assert "plain file name" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_result.json"))
+
+    @pytest.mark.parametrize("argv, config", [
+        (["run"], {"problem": "x"}),
+        (["run"], {"method": "x"}),
+        (["run"], {"colour": "red"}),
+        (["run", "--n-intervals", "0"], {}),
+        (["run", "--problem", "custom-file"], {}),
+        (["run"], {"output_path": "nul\0byte"}),
+        (["sweep", "--methods", "sur,x"], {}),
+        (["sweep", "--methods", "sur", "--tau-min-values", "0.1",
+          "--rho-factor-values", "10"], {}),
+    ], ids=["config-problem", "config-method", "config-key", "no-intervals",
+            "custom-file-without-file", "out-nul-byte", "sweep-method",
+            "sweep-two-parameters"])
+    def test_bad_setting_exit_two(self, tmp_path, capsys, argv, config):
+        cfg_file = tmp_path / "run.yaml"
+        yaml.safe_dump({"n_intervals": 20, "output_path": str(tmp_path), **config},
+                       cfg_file.open("w"))
+        assert cli.main([*argv, "--config", str(cfg_file)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*_result.json"))
+
+    def test_sweep_exit_zero(self, tmp_path, capsys):
+        code = cli.main([
+            "sweep", "--problem", "fuller", "--n-intervals", "20", "--out", str(tmp_path),
+            "--methods", "sur,ciap", "--tau-min-values", "0.1,0.2",
+        ])
+        assert code == 0
+        table = Path(capsys.readouterr().out.strip())
+        assert table == tmp_path / "sweep.csv"
+        lines = table.read_text().splitlines()
+        assert lines[0] == "tau_min,sur,ciap" and len(lines) == 3
+        assert "NA(" not in table.read_text()
 
 
 class TestSweep:

@@ -467,3 +467,55 @@ class TestModeDeviationCosts:
             [2, 1, 1, 0],  # distances to 11
         ])
         assert np.array_equal(costs, expected)
+
+
+def _two_bit_onehot():
+    return so.binary_to_onehot(so.BinaryControlPath.constant(grid(4), [0, 1]),
+                               so.enumerate_modes(2))
+
+
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: so.ModeTable(np.array([0, 1])), DimensionError, id="mode-table-1d"),
+    pytest.param(lambda: so.ModeTable(np.zeros((0, 1))), DimensionError, id="mode-table-empty"),
+    pytest.param(lambda: so.ModeTable([[0], [2]]), RepresentationError, id="mode-table-entry"),
+    pytest.param(lambda: so.ModeTable([[0, 1], [0, 1]]), RepresentationError,
+                 id="mode-table-duplicate-rows"),
+    pytest.param(lambda: so.BinaryControlPath(grid(4), np.zeros(4)), DimensionError,
+                 id="binary-path-1d"),
+    pytest.param(lambda: so.RelaxedControlPath(grid(4), np.full((3, 2), 0.5)), DimensionError,
+                 id="relaxed-path-rows"),
+    pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((3, 1)), [0.0], [1.0]),
+                 DimensionError, id="continuous-path-rows"),
+    pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((4, 1)), [0, 0], [1, 1]),
+                 DimensionError, id="continuous-bound-length"),
+    pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((4, 1)), [1.0], [0.0]),
+                 DimensionError, id="continuous-bounds-crossed"),
+    pytest.param(lambda: so.CombinatorialSpec((2, 2), max_dwell=(3,)), DimensionError,
+                 id="spec-max-dwell-length"),
+    pytest.param(lambda: so.CombinatorialSpec((2, 2), max_switches=(3,)), DimensionError,
+                 id="spec-max-switches-length"),
+    pytest.param(lambda: so.CombinatorialSpec((2,), max_switches=(-1,)), DimensionError,
+                 id="spec-negative-budget"),
+    pytest.param(lambda: so.CombinatorialSpec((2,), representation="x"), DimensionError,
+                 id="spec-representation"),
+    pytest.param(lambda: so.penalty_term(so.BinaryControlPath.constant(grid(5), [0]),
+                                         so.BinaryControlPath.constant(grid(4), [0]), grid(4)),
+                 DimensionError, id="penalty-term-grid"),
+    pytest.param(lambda: so.cia_deviation(so.RelaxedControlPath.uniform(grid(4), 2),
+                                          _two_bit_onehot(), grid(4)),
+                 DimensionError, id="cia-deviation-modes"),
+    pytest.param(lambda: so.check_feasible(so.BinaryControlPath.constant(grid(4), [0, 1]),
+                                           so.CombinatorialSpec((2,)), grid(4)),
+                 DimensionError, id="check-feasible-components"),
+    pytest.param(lambda: so.binary_to_onehot(so.BinaryControlPath.constant(grid(4), [0, 1]),
+                                             so.enumerate_modes(1)),
+                 DimensionError, id="binary-to-onehot-components"),
+    pytest.param(lambda: so.onehot_to_binary(_two_bit_onehot(), so.enumerate_modes(1)),
+                 DimensionError, id="onehot-to-binary-modes"),
+    pytest.param(lambda: so.mode_deviation_costs(
+        so.enumerate_modes(1), so.BinaryControlPath.constant(grid(4), [0, 1])),
+                 DimensionError, id="deviation-costs-components"),
+])
+def test_rejects_bad_input(build, error):
+    with pytest.raises(error):
+        build()

@@ -179,11 +179,25 @@ class TestSolveRelaxedPoc:
         assert (res.u.values >= system.control_lower[None, :]).all()
 
     def test_rejects_negative_rho(self, fuller_50):
+        """A negative, NaN or infinite rho is rejected by every entry point
+        that takes one, not solved as rho = 0 or evaluated to NaN."""
         system, grid, _ = fuller_50
         u, w = default_start(system, grid)
         vt = so.BinaryControlPath.constant(grid, [0])
+        for rho in (-1.0, np.nan, np.inf):
+            with pytest.raises(DimensionError):
+                so.solve_relaxed_poc(system, grid, vt, rho, (u, w))
+            with pytest.raises(DimensionError):
+                so.adjoint_gradient(system, grid, u, w, vt, rho)
+            with pytest.raises(DimensionError):
+                so.penalized_objective(system, grid, u, w, vt, rho)
+
+    def test_rejects_warm_start_on_another_grid(self, fuller_50):
+        system, grid, _ = fuller_50
+        u, w = default_start(system, so.TimeGrid(grid.t_start, grid.t_end, 25))
+        vt = so.BinaryControlPath.constant(grid, [0])
         with pytest.raises(DimensionError):
-            so.solve_relaxed_poc(system, grid, vt, -1.0, (u, w))
+            so.solve_relaxed_poc(system, grid, vt, 1.0, (u, w))
 
     def test_options_validation(self):
         with pytest.raises(DimensionError):
@@ -263,7 +277,7 @@ class TestContinuousBestResponse:
         w = np.eye(m)[np.random.default_rng(3).integers(0, m, n)]
         options = so.RelaxedSolveOptions()
         u, value = so.best_response_continuous(system, grid, w, options)
-        val, grad_u, _ = _adjoint_values(system, grid, u, w, None)
+        val, grad_u, _ = _adjoint_values(system, grid, u, w, np.zeros_like(w))
         assert val == value
         step = np.clip(u - grad_u, system.control_lower, system.control_upper) - u
         assert np.sqrt((step * step).sum()) <= options.stationarity_tol

@@ -982,3 +982,29 @@ class TestGlobalOracle:
         opts = so.RelaxedSolveOptions(stationarity_tol=1e-3, max_iterations=40)
         _, val_const = so.best_response_continuous(sys_small, grid_small, w_const, opts)
         assert res.best_value <= val_const + 1e-9
+
+
+_GRID4 = so.TimeGrid(0.0, 1.0, 4)
+_UNIFORM4 = so.RelaxedControlPath.uniform(_GRID4, 4)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: so.dwell_project(so.BinaryControlPath.constant(_GRID4, [0, 1]),
+                                          so.CombinatorialSpec((2,)), _GRID4),
+                 id="project-components"),
+    pytest.param(lambda: so.dwell_project(so.BinaryControlPath.constant(_GRID4, [1, 1]),
+                                          so.CombinatorialSpec((2,), representation=so.MODEWISE),
+                                          _GRID4),
+                 id="project-modewise-not-onehot"),
+    pytest.param(lambda: so.dwell_project_weighted(_UNIFORM4, so.enumerate_modes(1),
+                                                   so.CombinatorialSpec((2,)), _GRID4),
+                 id="weighted-mode-columns"),
+    pytest.param(lambda: so.constrained_ciap(_UNIFORM4, so.CombinatorialSpec((2, 2)), _GRID4),
+                 id="ciap-componentwise"),
+    pytest.param(lambda: so.global_oracle(make_zero_system(), _GRID4,
+                                          so.CombinatorialSpec((2, 2))),
+                 id="oracle-components"),
+])
+def test_rejects_bad_input(build):
+    with pytest.raises(so.DimensionError):
+        build()

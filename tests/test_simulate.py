@@ -7,7 +7,7 @@ import pytest
 import switchopt as so
 from switchopt.errors import DimensionError, DivergenceError
 from switchopt.simulate import (
-    EULER, RK4, _RK_B, _adjoint_values, _integrate_values, _step,
+    EULER, RK4, _RK_B, _adjoint_values, _integrate_values, _penalty_weights, _step,
 )
 
 from conftest import make_blowup_system, make_zero_system
@@ -238,6 +238,22 @@ class TestPenalizedObjective:
             )
         assert f1 - f0 == pytest.approx(slope, rel=1e-12)
 
+    def test_equals_the_solver_value_bitwise(self, fuller_50):
+        """The public value is the one the relaxed solver minimizes, to the
+        last bit, at random multipliers, references and penalty weights."""
+        system, grid, _ = fuller_50
+        rng = np.random.default_rng(118)
+        n = grid.n_intervals
+        u = so.ContinuousControlPath.empty(grid)
+        for _ in range(200):
+            w = so.RelaxedControlPath(grid, rng.dirichlet(np.ones(2), size=n))
+            vt = so.BinaryControlPath(grid, rng.integers(0, 2, (n, 1)))
+            rho = 10.0 ** rng.uniform(-3.0, 6.0)
+            pen = _penalty_weights(system, grid, vt, rho)
+            value, _, _ = _adjoint_values(system, grid, u.values, w.values, pen)
+            public = so.penalized_objective(system, grid, u, w, vt, rho)
+            assert np.float64(public).tobytes() == np.float64(value).tobytes()
+
 
 def central_difference_gradient(system, grid, u_values, w_values, vt, rho, step=1e-6):
     """Independent objective-gradient evaluation, one coordinate at a time."""
@@ -322,7 +338,7 @@ class TestAdjointGradient:
             w = np.eye(m)[rng.integers(0, m, n)]
         else:
             w = rng.dirichlet(np.full(m, 0.5), size=n)
-        pen = rng.random(w.shape) if penalized else None
+        pen = rng.random(w.shape) if penalized else np.zeros_like(w)
         value, gu, gw = _adjoint_values(system, grid, u, w, pen)
         value_r, gu_r, gw_r = reference_adjoint_values(system, grid, u, w, pen)
         assert np.float64(value).tobytes() == np.float64(value_r).tobytes()
@@ -567,3 +583,37 @@ class TestDerivativeValidation:
         )
         with pytest.raises(AssertionError):
             so.validate_derivatives(system, np.random.default_rng(0), n_points=3)
+
+
+_GRID4 = so.TimeGrid(0.0, 1.0, 4)
+_EMPTY_U4 = so.ContinuousControlPath.empty(_GRID4)
+_UNIFORM_W4 = so.RelaxedControlPath.uniform(_GRID4, 2)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: dataclasses.replace(make_scalar_system(), initial_state=np.zeros(2)),
+                 id="initial-state-shape"),
+    pytest.param(lambda: dataclasses.replace(make_scalar_system(), control_lower=np.zeros(1)),
+                 id="control-bound-length"),
+    pytest.param(lambda: dataclasses.replace(make_scalar_system(), integrator="midpoint"),
+                 id="unknown-integrator"),
+    pytest.param(lambda: so.Trajectory(_GRID4, np.zeros((4, 1))), id="trajectory-rows"),
+    pytest.param(lambda: so.integrate(make_scalar_system(), _GRID4,
+                                      so.ContinuousControlPath.empty(so.TimeGrid(0.0, 1.0, 5)),
+                                      _UNIFORM_W4),
+                 id="control-grid"),
+    pytest.param(lambda: so.integrate(make_scalar_system(), _GRID4,
+                                      so.ContinuousControlPath.midpoint(_GRID4, [0.0], [1.0]),
+                                      _UNIFORM_W4),
+                 id="control-channels"),
+    pytest.param(lambda: so.integrate(make_scalar_system(), _GRID4, _EMPTY_U4,
+                                      so.RelaxedControlPath.uniform(_GRID4, 4)),
+                 id="multiplier-modes"),
+    pytest.param(lambda: so.penalized_objective(
+        make_scalar_system(), _GRID4, _EMPTY_U4, _UNIFORM_W4,
+        so.BinaryControlPath.constant(so.TimeGrid(0.0, 1.0, 5), [0]), 1.0),
+                 id="penalty-reference-grid"),
+])
+def test_rejects_bad_input(build):
+    with pytest.raises(DimensionError):
+        build()

@@ -37,6 +37,7 @@ from .rounding import (
 )
 from .simulate import (
     SwitchedSystem,
+    _sweep_memo,
     integrate,
     objective,
     weighted_penalty_value,
@@ -309,6 +310,7 @@ def _certificate(system, grid, spec, rho, options, point: _Point) -> PEpsCertifi
     )
 
 
+@_sweep_memo()
 def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
                 schedule: PenaltySchedule = PenaltySchedule(),
                 options: AdmOptions = AdmOptions()) -> AdmResult:
@@ -322,7 +324,8 @@ def adm_penalty(system: SwitchedSystem, grid: TimeGrid, spec: CombinatorialSpec,
     drops below ``penalty_stop_tol`` or the ladder is exhausted.  The
     reported control is the sum-up rounding of the final multipliers, which
     is the final iterate itself when that is one-hot (rows within 1e-9 of a
-    vertex round to that vertex); ``feasible`` re-checks it exactly.
+    vertex round to that vertex); ``feasible`` re-checks it exactly.  The
+    run sweeps each control point once (``simulate._sweep_memo``).
     """
     point = default_initial_guess(system, grid)
     trace = []

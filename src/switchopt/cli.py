@@ -57,7 +57,7 @@ from .errors import (
     SwitchOptError,
 )
 from .rounding import MAX_ORACLE_INTERVALS, global_oracle
-from .simulate import integrate
+from .simulate import _sweep_memo, integrate
 
 PROBLEMS = ("fuller", "translines", "custom-file")
 METHODS = ("poc", "sur", "ciap", "adm", "adm-sur", "oracle")
@@ -330,11 +330,15 @@ def _record(config: RunConfig, result: Optional[AdmResult], wall_time, files,
     return record
 
 
+@_sweep_memo()
 def run(config: RunConfig) -> dict:
     """Execute one configured run and write its artifacts.
 
     Returns the result record; raises ConfigurationError for bad configs and
-    lets solver infeasibility surface as a record with an error entry.
+    lets solver infeasibility surface as a record with an error entry.  The
+    solve and the stored trajectory share one forward-sweep memo
+    (``simulate._sweep_memo``), so the trajectory of a just-swept control is
+    not integrated again.
     """
     schedule = config.validate()
     out_dir = _output_dir(config.output_path)

@@ -37,6 +37,7 @@ from .core import (
     RelaxedControlPath,
     TimeGrid,
     _check_grid,
+    _is_int,
 )
 from .errors import CapacityError, DimensionError, InfeasibleError
 from .relaxed import best_response_continuous
@@ -255,6 +256,12 @@ def _ciap_admissible(spec: CombinatorialSpec, n_modes: int) -> bool:
     return spec.representation == MODEWISE or (spec.n_components == 1 and n_modes == 2)
 
 
+def _check_max_nodes(max_nodes) -> None:
+    """A node budget is a non-negative integer (not a bool)."""
+    if not (_is_int(max_nodes) and max_nodes >= 0):
+        raise DimensionError(f"max_nodes must be an integer >= 0, got {max_nodes!r}")
+
+
 def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
                      grid: TimeGrid, max_nodes: int = 1_000_000) -> CiapResult:
     """Dwell-feasible one-hot path of provably minimal integral deviation.
@@ -269,6 +276,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     stay child unless the incumbent, whose leaf is still queued, prunes it),
     so the search ends at a popped leaf or when ``max_nodes`` pops are spent.
     """
+    _check_max_nodes(max_nodes)
     _check_grid(w.grid, grid, "w")
     n = grid.n_intervals
     m = w.n_modes
@@ -411,6 +419,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     with ``proven_optimal=False``.  A budget spent before the first complete
     sequence raises ``CapacityError``.
     """
+    _check_max_nodes(max_nodes)
     n = grid_coarse.n_intervals
     if n > MAX_ORACLE_INTERVALS:
         raise CapacityError(

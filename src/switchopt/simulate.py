@@ -18,10 +18,21 @@ stage's weight; the w- and u-contractions run after it as stacked
 ``np.matmul`` products (bitwise equal to per-interval 2-D products, which
 ``np.einsum`` is not).  The coupling penalty is one linear table,
 ``_penalty_weights``, and every penalized value is ``_penalized_value``.
+
+Inside a ``_sweep_memo`` scope, which ``adm.adm_penalty`` and ``cli.run``
+enter, ``_integrate_values`` keeps its few most recent forward sweeps (node
+states and stage records) and replays one when it is called again with the
+same system and grid objects and the same control bytes.  The ADM loop re-evaluates
+points the relaxed solve has just swept, and each relaxed solve starts at
+the previous one's last iterate, so a run sweeps most such points once.  A
+replay is bitwise the sweep it stands for.  The memo lives only as long as
+the outermost scope; outside any scope every call sweeps.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -224,13 +235,73 @@ def _combine_rows(w: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return np.matmul(w[:, None, :], fields)[:, 0]
 
 
+#: Forward sweeps a memo keeps.
+_MEMO_ENTRIES = 4
+
+# The active memo: a list of (system, grid, key, states, stages) entries,
+# least recently used first, or None outside every ``_sweep_memo`` scope.
+_memo: contextvars.ContextVar = contextvars.ContextVar("switchopt_sweep_memo", default=None)
+
+
+@contextlib.contextmanager
+def _sweep_memo():
+    """Scope in which ``_integrate_values`` replays its recent sweeps.
+
+    A nested scope shares the enclosing scope's memo; the memo is dropped
+    when the outermost scope exits.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set([])
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    """Exact identity of an array's contents: shape, dtype and bytes (which
+    tell -0.0 from 0.0)."""
+    return a.shape, a.dtype.str, a.tobytes()
+
+
 def _integrate_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
                       w_values: np.ndarray, stages: Optional[list] = None) -> np.ndarray:
     """Forward sweep on raw arrays; returns (N+1, n_y) node states.
 
     When ``stages`` is a list, each interval's (stage states, stage fields)
-    pair from ``_step`` is appended to it.
+    pair from ``_step`` is appended to it.  Inside a ``_sweep_memo`` scope a
+    repeated call returns the recorded, read-only arrays of the first; a
+    sweep that diverges is not recorded.
     """
+    memo = _memo.get()
+    if memo is None:
+        return _forward_sweep(system, grid, u_values, w_values, stages)
+    # System and grid by identity: an entry holds both, so neither can be
+    # collected and its id reused, and equal grid ends of another number
+    # type would step differently.
+    key = (_array_key(u_values), _array_key(w_values))
+    for i, entry in enumerate(memo):
+        if entry[0] is system and entry[1] is grid and entry[2] == key:
+            memo.append(memo.pop(i))
+            break
+    else:
+        recorded = []
+        states = _forward_sweep(system, grid, u_values, w_values, recorded)
+        states.flags.writeable = False
+        entry = (system, grid, key, states, recorded)
+        memo.append(entry)
+        if len(memo) > _MEMO_ENTRIES:
+            del memo[0]
+    if stages is not None:
+        stages.extend(entry[4])
+    return entry[3]
+
+
+def _forward_sweep(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
+                   w_values: np.ndarray, stages: Optional[list]) -> np.ndarray:
+    """The sweep behind ``_integrate_values``, never memoized."""
     n = grid.n_intervals
     h = grid.step
     states = np.empty((n + 1, system.state_dim))

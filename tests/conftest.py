@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import switchopt as so
+from switchopt import relaxed, simulate
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +89,36 @@ def make_blowup_system(controlled=False):
         control_lower=np.zeros(n_u),
         control_upper=np.ones(n_u),
     )
+
+
+def counted_system(system):
+    """Copy of ``system`` whose stage-field and terminal callables count calls."""
+    counts = dict.fromkeys(("rhs_stack", "terminal_cost", "terminal_cost_gradient"), 0)
+
+    def counting(name):
+        fn = getattr(system, name)
+
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    return dataclasses.replace(system, **{name: counting(name) for name in counts}), counts
+
+
+def record_sweep_points(monkeypatch):
+    """Wrap every forward-sweep entry point; returns the list of asked
+    (u bytes, w bytes) points, one per call, repeats included."""
+    asked = []
+
+    def recording(integrate_values):
+        def call(system, grid, u_values, w_values, stages=None):
+            asked.append((u_values.tobytes(), w_values.tobytes()))
+            return integrate_values(system, grid, u_values, w_values, stages)
+
+        return call
+
+    for module in (simulate, relaxed):
+        monkeypatch.setattr(module, "_integrate_values", recording(module._integrate_values))
+    return asked

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import switchopt as so
+from switchopt import simulate
 from switchopt.adm import MAX_LADDER_RUNGS
 from switchopt.errors import DimensionError
 
-from conftest import make_zero_system
+from conftest import counted_system, make_zero_system, record_sweep_points
 
 
 def fast_options(variant=so.ADM_SUR, **kwargs):
@@ -253,6 +254,41 @@ class TestAdmPenalty:
         for variant in (so.ADM_SUR, so.ADM_PLAIN):
             res = so.adm_penalty(system, grid, spec, options=fast_options(variant))
             assert res.objective >= fuller_100_poc_bound - 1e-6
+
+
+class TestSweepMemo:
+    """``adm_penalty`` sweeps each control point once per run."""
+
+    def test_stage_evaluations_count_distinct_points(self, fuller_100, monkeypatch):
+        system, grid, spec = fuller_100
+        system, counts = counted_system(system)
+        asked = record_sweep_points(monkeypatch)
+        so.adm_penalty(system, grid, spec, options=fast_options(so.ADM_PLAIN))
+        assert len(asked) > len(set(asked))
+        assert counts["rhs_stack"] == 4 * grid.n_intervals * len(set(asked))
+        assert simulate._memo.get() is None
+
+    @pytest.mark.parametrize("variant", [so.ADM_PLAIN, so.ADM_SUR])
+    def test_same_run_without_the_memo(self, fuller_100, monkeypatch, variant):
+        # A memo of no entries sweeps every call, as outside a scope.
+        system, grid, spec = fuller_100
+        runs = []
+        for entries in (simulate._MEMO_ENTRIES, 0):
+            monkeypatch.setattr(simulate, "_MEMO_ENTRIES", entries)
+            counted, counts = counted_system(system)
+            res = so.adm_penalty(counted, grid, spec, options=fast_options(variant))
+            runs.append((res, counts))
+        (res, counts), (ref, ref_counts) = runs
+        assert repr(res.trace) == repr(ref.trace)
+        assert repr(res.p_eps_certificate) == repr(ref.p_eps_certificate)
+        assert (res.objective, res.penalty_value) == (ref.objective, ref.penalty_value)
+        assert res.u_final.values.tobytes() == ref.u_final.values.tobytes()
+        assert res.relaxed_w_final.values.tobytes() == ref.relaxed_w_final.values.tobytes()
+        assert np.array_equal(res.v_final.values, ref.v_final.values)
+        # Every value and every reverse sweep still reaches the model.
+        for name in ("terminal_cost", "terminal_cost_gradient"):
+            assert counts[name] == ref_counts[name]
+        assert counts["rhs_stack"] < ref_counts["rhs_stack"]
 
 
 class TestHeuristics:

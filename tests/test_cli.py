@@ -6,8 +6,10 @@ import pytest
 import yaml
 
 import switchopt as so
-from switchopt import cli
+from switchopt import cli, simulate
 from switchopt.cli import RECORD_KEYS, RunConfig, load_controls_csv
+
+from conftest import record_sweep_points
 
 
 def write_problem_file(tmp_path, **overrides):
@@ -219,6 +221,36 @@ class TestRun:
         cli.run(run_config(tmp_path, method="adm-sur", n_intervals=20))
         cli.run(run_config(tmp_path, method="ciap", n_intervals=20))
         assert all(calls.values()), calls
+
+
+class TestSweepMemo:
+    def test_run_sweeps_each_point_once(self, tmp_path, monkeypatch):
+        # The stored trajectory is the result's own control, already swept
+        # inside adm_penalty; the scope of cli.run keeps that sweep.
+        asked = record_sweep_points(monkeypatch)
+        sweeps = []
+        forward_sweep = simulate._forward_sweep
+
+        def counting(*args):
+            sweeps.append(1)
+            return forward_sweep(*args)
+
+        monkeypatch.setattr(simulate, "_forward_sweep", counting)
+        cli.run(run_config(tmp_path, method="adm"))
+        assert len(asked) > len(set(asked))
+        assert len(sweeps) == len(set(asked))
+
+    def test_back_to_back_runs_write_identical_csvs(self, tmp_path, monkeypatch):
+        # Two runs with the memo, then one without it (no entries kept).
+        outputs = []
+        for i, entries in enumerate((simulate._MEMO_ENTRIES, simulate._MEMO_ENTRIES, 0)):
+            monkeypatch.setattr(simulate, "_MEMO_ENTRIES", entries)
+            out = tmp_path / str(i)
+            record = cli.run(run_config(out, method="adm-sur", label="run"))
+            assert simulate._memo.get() is None
+            outputs.append([(out / record[key]).read_bytes()
+                            for key in ("controls_file", "trajectory_file")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestMain:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -9,7 +8,7 @@ from switchopt.errors import DimensionError
 from switchopt.relaxed import project_rows_to_simplex
 from switchopt.simulate import _adjoint_values
 
-from conftest import make_blowup_system, make_zero_system
+from conftest import counted_system, make_blowup_system, make_zero_system
 
 
 def simplex_projection_oracle(v):
@@ -218,22 +217,6 @@ class TestSolveRelaxedPoc:
         assert so.RelaxedSolveOptions(max_iterations=np.int64(3)).max_iterations == 3
 
 
-def counted_system(system):
-    """Copy of ``system`` whose stage-field and terminal callables count calls."""
-    counts = dict.fromkeys(("rhs_stack", "terminal_cost", "terminal_cost_gradient"), 0)
-
-    def counting(name):
-        fn = getattr(system, name)
-
-        def call(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return call
-
-    return dataclasses.replace(system, **{name: counting(name) for name in counts}), counts
-
-
 class TestOneSweepPerAcceptedIterate:
     """Each trial sweeps forward once, and the gradient at an accepted trial
     reuses that sweep: forward sweeps = trials + 1 for the warm start, where
@@ -266,6 +249,22 @@ class TestOneSweepPerAcceptedIterate:
         sweeps, rest = divmod(counts["rhs_stack"], n)  # one Euler stage per interval
         assert rest == 0
         assert sweeps == counts["terminal_cost"] - counts["terminal_cost_gradient"] + 1
+
+
+class TestNoMemoOutsideAScope:
+    def test_repeated_solve_makes_the_same_model_calls(self, fuller_50):
+        # Only adm_penalty and cli.run replay sweeps; a library solve
+        # called twice sweeps every point twice.
+        system, grid, _ = fuller_50
+        system, counts = counted_system(system)
+        u, w = default_start(system, grid)
+        vt = so.BinaryControlPath.constant(grid, [0])
+        options = so.RelaxedSolveOptions(stationarity_tol=1e-4, max_iterations=40)
+        calls = []
+        for _ in range(2):
+            so.solve_relaxed_poc(system, grid, vt, 0.1, (u, w), options)
+            calls.append(dict(counts))
+        assert calls[1] == {name: 2 * n for name, n in calls[0].items()}
 
 
 class TestContinuousBestResponse:

@@ -1008,3 +1008,24 @@ _UNIFORM4 = so.RelaxedControlPath.uniform(_GRID4, 4)
 def test_rejects_bad_input(build):
     with pytest.raises(so.DimensionError):
         build()
+
+
+@pytest.mark.parametrize("max_nodes", [None, -1, -5, 2.5, 3.0, True, "10"])
+@pytest.mark.parametrize("solver", ["ciap", "oracle"])
+def test_node_budget_must_be_a_non_negative_integer(solver, max_nodes):
+    spec = so.CombinatorialSpec((2,), representation=so.MODEWISE)
+    with pytest.raises(so.DimensionError, match="max_nodes"):
+        if solver == "ciap":
+            so.constrained_ciap(_UNIFORM4, spec, _GRID4, max_nodes=max_nodes)
+        else:
+            so.global_oracle(make_zero_system(n_modes=4), _GRID4, spec, max_nodes=max_nodes)
+
+
+@pytest.mark.parametrize("max_nodes", [0, np.int64(3)])
+def test_node_budget_accepts_zero_and_numpy_integers(max_nodes):
+    spec = so.CombinatorialSpec((2,), representation=so.MODEWISE)
+    res = so.constrained_ciap(_UNIFORM4, spec, _GRID4, max_nodes=max_nodes)
+    assert res.nodes_explored == max_nodes
+    # The oracle's first complete sequence is node 4 of its walk.
+    with pytest.raises(CapacityError, match="node budget"):
+        so.global_oracle(make_zero_system(n_modes=4), _GRID4, spec, max_nodes=max_nodes)

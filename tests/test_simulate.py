@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 import switchopt as so
+from switchopt import simulate
 from switchopt.errors import DimensionError, DivergenceError
 from switchopt.simulate import (
     EULER, RK4, _RK_B, _adjoint_values, _integrate_values, _penalty_weights, _step,
+    _sweep_memo,
 )
 
-from conftest import make_blowup_system, make_zero_system
+from conftest import counted_system, make_blowup_system, make_zero_system
 
 FULLER_V0_OBJECTIVE = float(
     Fraction(1, 10000) + Fraction(1, 300) + Fraction(1, 20) + Fraction(1, 4) + 1
@@ -541,6 +543,85 @@ class TestRecordedSweep:
         assert value_r == value
         assert gu_r.tobytes() == gu.tobytes()
         assert gw_r.tobytes() == gw.tobytes()
+
+
+class TestSweepMemo:
+    """Inside a ``_sweep_memo`` scope a repeated forward sweep is replayed."""
+
+    @staticmethod
+    def onehot(grid):
+        return np.eye(2)[np.arange(grid.n_intervals) % 2]
+
+    def test_outside_a_scope_every_call_sweeps(self, fuller_50):
+        system, grid, _ = fuller_50
+        system, counts = counted_system(system)
+        u = so.ContinuousControlPath.empty(grid)
+        w = so.RelaxedControlPath(grid, self.onehot(grid))
+        first = so.integrate(system, grid, u, w)
+        second = so.integrate(system, grid, u, w)
+        assert counts["rhs_stack"] == 2 * 4 * grid.n_intervals
+        assert first.states.tobytes() == second.states.tobytes()
+        assert simulate._memo.get() is None
+
+    def test_repeat_replays_the_recorded_sweep(self, fuller_50):
+        system, grid, _ = fuller_50
+        system, counts = counted_system(system)
+        u, w = np.zeros((grid.n_intervals, 0)), self.onehot(grid)
+        ref_stages = []
+        ref = _integrate_values(system, grid, u, w, ref_stages)
+        with _sweep_memo():
+            first = _integrate_values(system, grid, u, w)
+            assert not first.flags.writeable  # recorded arrays are shared
+            with _sweep_memo():  # a nested scope shares the memo
+                assert simulate._memo.get() is not None
+                traj = so.integrate(system, grid, so.ContinuousControlPath.empty(grid),
+                                    so.RelaxedControlPath(grid, w.copy()))
+            stages = []
+            states = _integrate_values(system, grid, u, w, stages)
+            assert len(simulate._memo.get()) == 1
+        assert simulate._memo.get() is None
+        assert counts["rhs_stack"] == 2 * 4 * grid.n_intervals  # ref, then first
+        for replay in (first, traj.states, states):
+            assert replay.tobytes() == ref.tobytes()
+        assert len(stages) == len(ref_stages)
+        for (ys, fs), (ys_ref, fs_ref) in zip(stages, ref_stages):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(ys + fs, ys_ref + fs_ref))
+
+    def test_key_is_exact(self, fuller_50):
+        system, grid, _ = fuller_50
+        system, counts = counted_system(system)
+        u, w = np.zeros((grid.n_intervals, 0)), self.onehot(grid)
+        per_sweep = 4 * grid.n_intervals
+        with _sweep_memo():
+            _integrate_values(system, grid, u, w)
+            # Equal values, other bytes: -0.0 is not 0.0.
+            _integrate_values(system, grid, u, np.where(w == 0.0, -0.0, w))
+            assert counts["rhs_stack"] == 2 * per_sweep
+            # An equal grid or an equal system is another object.
+            _integrate_values(system, so.TimeGrid(0.0, 1.0, grid.n_intervals), u, w)
+            _integrate_values(dataclasses.replace(system), grid, u, w)
+            assert counts["rhs_stack"] == 4 * per_sweep
+            # Another dtype of the same (empty) bytes.
+            _integrate_values(system, grid, u.astype(np.float32), w)
+            assert counts["rhs_stack"] == 5 * per_sweep
+            # Only the most recent sweeps are kept: the first has gone.
+            assert len(simulate._memo.get()) == simulate._MEMO_ENTRIES
+            _integrate_values(system, grid, u, w)
+            assert counts["rhs_stack"] == 6 * per_sweep
+
+    def test_diverging_sweep_is_not_recorded(self):
+        system = make_blowup_system()
+        grid = so.TimeGrid(0.0, 1.5, 15)
+        u, w = np.zeros((15, 0)), np.tile([0.0, 1.0], (15, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with _sweep_memo():
+                for _ in range(2):
+                    with pytest.raises(DivergenceError):
+                        _integrate_values(system, grid, u, w)
+                assert simulate._memo.get() == []
+            with pytest.raises(DivergenceError), _sweep_memo():
+                _integrate_values(system, grid, u, w)
+        assert simulate._memo.get() is None
 
 
 class TestSystemValidation:

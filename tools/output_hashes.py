@@ -13,7 +13,10 @@ Covered outputs:
 * ``dwell_project_weighted``, ``constrained_ciap`` and ``global_oracle`` on
   seeded instances, with and without maximum dwell times and switch budgets;
 * ``global_oracle`` budget exits (Fuller N=20 at 20 and 50 nodes) and a
-  four-step translines instance whose leaves solve for continuous controls.
+  four-step translines instance whose leaves solve for continuous controls;
+* ``adm_penalty`` called as a library function (Fuller N=100, tau_min 0.05,
+  both variants), which runs in its own forward-sweep memo scope rather than
+  the one ``cli.run`` enters.
 """
 
 from __future__ import annotations
@@ -130,6 +133,17 @@ def _library_lines():
     yield ("global_oracle translines N=4 with controls",
            _digest(res.best_control.values.tobytes(), res.best_value, res.nodes_explored,
                    res.proven_optimal, res.best_u.tobytes()))
+
+    fuller, grid, spec = switchopt.build_fuller(
+        switchopt.FullerConfig(tau_min=0.05, n_intervals=100))
+    for variant in (switchopt.ADM_PLAIN, switchopt.ADM_SUR):
+        options = switchopt.AdmOptions(variant=variant)
+        res = switchopt.adm_penalty(fuller, grid, spec, options=options)
+        yield (f"adm_penalty fuller N=100 tau=0.05 {variant}",
+               _digest(res.u_final.values.tobytes(), res.v_final.values.tobytes(),
+                       res.v_tilde_final.values.tobytes(), res.relaxed_w_final.values.tobytes(),
+                       res.objective, res.penalty_value, res.rho_final, res.feasible,
+                       res.converged, res.p_eps_certificate, res.trace))
 
 
 def _small_controlled_translines():

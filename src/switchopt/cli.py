@@ -382,8 +382,7 @@ def load_controls_csv(path, grid, system):
     )
     u = ContinuousControlPath(grid, u_vals, system.control_lower, system.control_upper)
     if v_names:
-        v_vals = np.column_stack([cols[n] for n in v_names]).astype(np.int64)
-        return u, BinaryControlPath(grid, v_vals), None
+        return u, BinaryControlPath(grid, np.column_stack([cols[n] for n in v_names])), None
     w_vals = np.column_stack([cols[n] for n in w_names])
     return u, None, RelaxedControlPath(grid, w_vals)
 

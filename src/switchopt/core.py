@@ -84,11 +84,13 @@ class ModeTable:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionError(f"mode table must be 2-D and non-empty, got {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        raw = np.asarray(self.values)
+        if raw.ndim != 2 or raw.shape[0] < 1 or raw.shape[1] < 1:
+            raise DimensionError(f"mode table must be 2-D and non-empty, got {raw.shape}")
+        # Checked before the cast, which would truncate 0.5 to 0.
+        if not np.isin(raw, (0, 1)).all():
             raise RepresentationError("mode table entries must be 0 or 1")
+        arr = np.asarray(raw, dtype=np.int64)
         if len({tuple(row) for row in arr}) != arr.shape[0]:
             raise RepresentationError("mode table rows must be distinct")
         arr.flags.writeable = False
@@ -106,11 +108,13 @@ class ModeTable:
         return self.values.shape[0]
 
     def index_of(self, row) -> int:
-        key = tuple(int(x) for x in row)
+        # Looked up uncast: an int cast would take 0.9 for 0.
         try:
-            return self._index[key]
+            return self._index[tuple(row)]
         except KeyError:
-            raise RepresentationError(f"configuration {key} not in mode table") from None
+            raise RepresentationError(
+                f"configuration {np.asarray(row).tolist()} not in mode table"
+            ) from None
 
     def __len__(self) -> int:
         return self.n_modes
@@ -141,16 +145,18 @@ class BinaryControlPath:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.int64)
-        if arr.ndim != 2:
-            raise DimensionError(f"binary control values must be 2-D, got {arr.shape}")
-        if arr.shape[0] != self.grid.n_intervals:
+        raw = np.asarray(self.values)
+        if raw.ndim != 2:
+            raise DimensionError(f"binary control values must be 2-D, got {raw.shape}")
+        if raw.shape[0] != self.grid.n_intervals:
             raise DimensionError(
-                f"binary control has {arr.shape[0]} rows, grid has "
+                f"binary control has {raw.shape[0]} rows, grid has "
                 f"{self.grid.n_intervals} intervals"
             )
-        if not np.isin(arr, (0, 1)).all():
+        # Checked before the cast, which would truncate 0.9 to 0.
+        if not np.isin(raw, (0, 1)).all():
             raise RepresentationError("binary control entries must be exactly 0 or 1")
+        arr = np.asarray(raw, dtype=np.int64)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -160,7 +166,7 @@ class BinaryControlPath:
 
     @staticmethod
     def constant(grid: TimeGrid, row) -> "BinaryControlPath":
-        row = np.asarray(row, dtype=np.int64).reshape(1, -1)
+        row = np.asarray(row).reshape(1, -1)
         return BinaryControlPath(grid, np.repeat(row, grid.n_intervals, axis=0))
 
 

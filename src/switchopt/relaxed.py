@@ -5,9 +5,9 @@ continuous controls and the relaxed mode multipliers has simple geometry:
 a box per control channel and a probability simplex per multiplier row.
 Projected gradient with a Barzilai-Borwein trial step and Armijo
 backtracking keeps every iterate feasible and the value sequence monotone.
-Each line-search trial records its forward sweep; the gradient at an
-accepted iterate walks the accepted trial's sweep backwards, so every
-accepted iterate costs one forward sweep, not two.
+The loop runs in a forward-sweep memo scope (``simulate._sweep_memo``), so
+the gradient at an accepted iterate replays the accepted trial's sweep and
+every accepted iterate costs one forward sweep, not two.
 
 One loop, ``_minimize``, serves both solves: the relaxed solve over (u, w),
 and the oracle's continuous best response over u with w held fixed (an
@@ -28,8 +28,9 @@ from .core import (
     _is_int,
 )
 from .errors import DimensionError, DivergenceError
-from .simulate import (SwitchedSystem, _adjoint_values, _integrate_values,
-                       _penalized_value, _penalty_weights)
+from .simulate import (SwitchedSystem, _adjoint_values, _check_control_shapes,
+                       _integrate_values, _penalized_value, _penalty_weights,
+                       _sweep_memo)
 
 # Armijo sufficient-decrease fraction and the step shrink per rejected trial.
 ARMIJO_C = 1e-4
@@ -103,15 +104,12 @@ class _PenalizedProblem:
         self.hold_w = hold_w
 
     def value(self, u_values, w_values):
-        """Penalized value and the (states, stages) forward sweep behind it."""
-        stages = []
-        states = _integrate_values(self.system, self.grid, u_values, w_values, stages)
-        return _penalized_value(self.system, states, w_values, self.pen), (states, stages)
+        states = _integrate_values(self.system, self.grid, u_values, w_values)
+        return _penalized_value(self.system, states, w_values, self.pen)
 
-    def value_and_gradient(self, u_values, w_values, sweep=None):
-        """``sweep``, when given, is ``value``'s sweep at these same arrays."""
+    def value_and_gradient(self, u_values, w_values):
         val, grad_u, grad_w = _adjoint_values(
-            self.system, self.grid, u_values, w_values, self.pen, sweep
+            self.system, self.grid, u_values, w_values, self.pen
         )
         if self.hold_w:
             grad_w = np.zeros_like(w_values)
@@ -136,6 +134,7 @@ def _stationarity(problem, u_values, w_values, grad_u, grad_w) -> float:
     return float(np.sqrt((du * du).sum() + (dw * dw).sum()))
 
 
+@_sweep_memo()
 def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray,
               options: RelaxedSolveOptions):
     """Projected-gradient descent from the feasible arrays (u_vals, w_vals).
@@ -173,9 +172,9 @@ def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray
             if decrease >= -1e-300:
                 break  # no descent along the projection arc
             try:
-                f_new, sweep = problem.value(u_new, w_new)
+                f_new = problem.value(u_new, w_new)
             except DivergenceError:
-                f_new, sweep = np.inf, None  # a trial that blows up fails like an Armijo test
+                f_new = np.inf  # a trial that blows up fails like an Armijo test
             if f_new <= fx + ARMIJO_C * decrease:
                 accepted = True
                 break
@@ -187,8 +186,8 @@ def _minimize(problem: _PenalizedProblem, u_vals: np.ndarray, w_vals: np.ndarray
         u_vals, w_vals = u_new, w_new
         step = t
         iterations += 1
-        # The accepted trial's forward sweep is the one at the new iterate.
-        fx, grad_u, grad_w = problem.value_and_gradient(u_vals, w_vals, sweep)
+        # Replays the accepted trial's forward sweep.
+        fx, grad_u, grad_w = problem.value_and_gradient(u_vals, w_vals)
         res = _stationarity(problem, u_vals, w_vals, grad_u, grad_w)
         converged = res <= options.stationarity_tol
 
@@ -209,8 +208,7 @@ def solve_relaxed_poc(system: SwitchedSystem, grid: TimeGrid,
     for nonconvex instances it is a stationarity surrogate only.
     """
     u0, w0 = warm_start
-    if u0.grid != grid or w0.grid != grid:
-        raise DimensionError("warm start lives on a different grid")
+    _check_control_shapes(system, grid, u0, w0)
     problem = _PenalizedProblem(system, grid, _penalty_weights(system, grid, v_tilde, rho))
     u_vals, w_vals, fx, res, iterations, converged = _minimize(
         problem, u0.values.copy(), w0.values.copy(), options
@@ -233,6 +231,9 @@ def best_response_continuous(system: SwitchedSystem, grid: TimeGrid,
     Returns (u values, objective value).  Used by the oracle at enumeration
     leaves.
     """
+    shape = (grid.n_intervals, system.modes.n_modes)
+    if np.shape(w_values) != shape:
+        raise DimensionError(f"multipliers have shape {np.shape(w_values)}, expected {shape}")
     u0 = ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)
     problem = _PenalizedProblem(system, grid, np.zeros_like(w_values), hold_w=True)
     u_vals, _, fx, _, _, _ = _minimize(problem, u0.values.copy(), w_values, options)

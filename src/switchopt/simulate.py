@@ -11,22 +11,23 @@ precision.
 The sweeps use only the stacked form of a system (``rhs_stack`` and the
 weight-combined Jacobians).  A gradient sweep keeps the forward pass's stage
 states and per-mode stage fields (N x stages x modes x n_y floats) and walks
-them backwards instead of recomputing them; a caller that already holds a
-recorded forward sweep at the same point hands it over and skips the pass.
-The reverse interval loop runs only the adjoint recursion and records each
-stage's weight; the w- and u-contractions run after it as stacked
-``np.matmul`` products (bitwise equal to per-interval 2-D products, which
-``np.einsum`` is not).  The coupling penalty is one linear table,
-``_penalty_weights``, and every penalized value is ``_penalized_value``.
+them backwards instead of recomputing them.  The reverse interval loop runs
+only the adjoint recursion and records each stage's weight; the w- and
+u-contractions run after it as stacked ``np.matmul`` products (bitwise equal
+to per-interval 2-D products, which ``np.einsum`` is not).  The coupling
+penalty is one linear table, ``_penalty_weights``, and every penalized value
+is ``_penalized_value``.
 
-Inside a ``_sweep_memo`` scope, which ``adm.adm_penalty`` and ``cli.run``
-enter, ``_integrate_values`` keeps its few most recent forward sweeps (node
-states and stage records) and replays one when it is called again with the
-same system and grid objects and the same control bytes.  The ADM loop re-evaluates
-points the relaxed solve has just swept, and each relaxed solve starts at
-the previous one's last iterate, so a run sweeps most such points once.  A
-replay is bitwise the sweep it stands for.  The memo lives only as long as
-the outermost scope; outside any scope every call sweeps.
+Inside a ``_sweep_memo`` scope, which ``adm.adm_penalty``, ``cli.run`` and
+the relaxed solver's loop enter, ``_integrate_values`` keeps its few most
+recent forward sweeps (node states and stage records) and replays one when
+it is called again with the same system and grid objects and the same
+control bytes.  The gradient at an accepted line-search trial replays that
+trial's sweep; the ADM loop re-evaluates points the relaxed solve has just
+swept, and each relaxed solve starts at the previous one's last iterate, so
+a run sweeps most such points once.  A replay is bitwise the sweep it stands
+for.  The memo lives only as long as the outermost scope; outside any scope
+every call sweeps.
 """
 
 from __future__ import annotations
@@ -381,25 +382,19 @@ _RK_B = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
 
 
 def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                    w_values: np.ndarray, pen: np.ndarray,
-                    sweep: Optional[tuple] = None):
+                    w_values: np.ndarray, pen: np.ndarray):
     """Reverse sweep on raw arrays.
 
     Returns (value, grad_u, grad_w) of ``_penalized_value`` with the penalty
     table ``pen`` (a ``_penalty_weights`` table, the penalty's w-gradient).
     The forward sweep keeps its stage states and per-mode stage fields, and
-    the adjoint rolls back through them.  ``sweep`` is an optional
-    (states, stages) pair already recorded by ``_integrate_values`` at these
-    same arrays, such as an accepted line-search trial's; with it no forward
-    sweep runs here.
+    the adjoint rolls back through them; inside a ``_sweep_memo`` scope that
+    sweep is a replay when these arrays were just swept.
     """
     n = grid.n_intervals
     h = grid.step
-    if sweep is None:
-        stages = []
-        states = _integrate_values(system, grid, u_values, w_values, stages)
-    else:
-        states, stages = sweep
+    stages = []
+    states = _integrate_values(system, grid, u_values, w_values, stages)
     value = _penalized_value(system, states, w_values, pen)
     grad_u = np.zeros_like(u_values)
 
@@ -490,39 +485,34 @@ def validate_derivatives(system: SwitchedSystem, rng: np.random.Generator,
     of rhs with step 1e-6.  Returns the worst relative error; raises
     AssertionError beyond 1e-5.
     """
-    step = 1e-6
     worst = 0.0
     for _ in range(n_points):
         t = float(rng.uniform(0.0, 1.0))
         y = rng.standard_normal(system.state_dim)
         u = rng.standard_normal(system.control_dim)
         mode = system.modes.values[rng.integers(system.modes.n_modes)]
-        jy = np.asarray(system.rhs_jac_state(t, y, u, mode), dtype=np.float64)
-        ju = np.asarray(system.rhs_jac_control(t, y, u, mode), dtype=np.float64)
-        fd_y = np.zeros_like(jy)
-        for j in range(system.state_dim):
-            dy = np.zeros(system.state_dim)
-            dy[j] = step
-            fd_y[:, j] = (
-                np.asarray(system.rhs(t, y + dy, u, mode))
-                - np.asarray(system.rhs(t, y - dy, u, mode))
-            ) / (2 * step)
-        fd_u = np.zeros_like(ju)
-        for j in range(system.control_dim):
-            du = np.zeros(system.control_dim)
-            du[j] = step
-            fd_u[:, j] = (
-                np.asarray(system.rhs(t, y, u + du, mode))
-                - np.asarray(system.rhs(t, y, u - du, mode))
-            ) / (2 * step)
-        denom = max(1.0, float(np.abs(jy).max()) if jy.size else 1.0,
-                    float(np.abs(ju).max()) if ju.size else 1.0)
-        err = 0.0
-        if jy.size:
-            err = max(err, float(np.abs(jy - fd_y).max()) / denom)
-        if ju.size:
-            err = max(err, float(np.abs(ju - fd_u).max()) / denom)
-        worst = max(worst, err)
+        scale, gap = 1.0, 0.0
+        for jac, f, x in (
+            (system.rhs_jac_state(t, y, u, mode), lambda z: system.rhs(t, z, u, mode), y),
+            (system.rhs_jac_control(t, y, u, mode), lambda z: system.rhs(t, y, z, mode), u),
+        ):
+            jac = np.asarray(jac, dtype=np.float64)
+            if jac.size:
+                scale = max(scale, float(np.abs(jac).max()))
+                gap = max(gap, float(np.abs(jac - _central_differences(f, x, jac.shape)).max()))
+        worst = max(worst, gap / scale)
     if worst > 1e-5:
         raise AssertionError(f"jacobian check failed: relative error {worst:.3e}")
     return worst
+
+
+def _central_differences(f: Callable, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Central differences of the vector function f at x with step 1e-6,
+    column j along x[j]."""
+    step = 1e-6
+    fd = np.zeros(shape)
+    for j in range(x.size):
+        dx = np.zeros(x.size)
+        dx[j] = step
+        fd[:, j] = (np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2 * step)
+    return fd

@@ -132,6 +132,19 @@ class TestRun:
         obj = so.objective(system, so.integrate(system, grid, u, w))
         assert obj == pytest.approx(record["objective"], abs=1e-10)
 
+    @pytest.mark.parametrize("entry, loads", [("1.0", True), ("0.9", False), ("nan", False)])
+    def test_controls_csv_binary_entries_are_not_truncated(self, tmp_path, entry, loads):
+        system, grid, _ = so.build_fuller(so.FullerConfig(0.05, 4))
+        path = tmp_path / "controls.csv"
+        rows = zip(grid.nodes()[:-1], ("0", "1", entry, "0"))
+        path.write_text("t,v0\n" + "".join(f"{t},{v}\n" for t, v in rows))
+        if loads:
+            _, v, _ = load_controls_csv(path, grid, system)
+            assert v.values[:, 0].tolist() == [0, 1, 1, 0]
+        else:
+            with pytest.raises(so.RepresentationError):
+                load_controls_csv(path, grid, system)
+
     def test_poc_roundtrip_with_relaxed_columns(self, tmp_path):
         record = cli.run(run_config(tmp_path, method="poc", n_intervals=30))
         system, grid, _ = so.build_fuller(so.FullerConfig(0.05, 30))

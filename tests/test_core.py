@@ -89,6 +89,23 @@ class TestPaths:
         with pytest.raises(RepresentationError):
             so.BinaryControlPath(g, [[0], [2]])
 
+    @pytest.mark.parametrize("bad", [0.9, 1.7, 0.5, -0.2, np.nan])
+    def test_non_binary_entries_are_not_truncated(self, bad):
+        with pytest.raises(RepresentationError):
+            so.BinaryControlPath(grid(2), [[0.0], [bad]])
+        with pytest.raises(RepresentationError):
+            so.BinaryControlPath.constant(grid(2), [bad])
+        with pytest.raises(RepresentationError):
+            so.ModeTable([[0.0], [bad]])
+        with pytest.raises(RepresentationError):
+            so.enumerate_modes(1).index_of([bad])
+
+    @pytest.mark.parametrize("values", [[[0.0], [1.0]], [[False], [True]]], ids=["float", "bool"])
+    def test_exact_binary_floats_and_bools_accepted(self, values):
+        for arr in (so.BinaryControlPath(grid(2), values).values, so.ModeTable(values).values):
+            assert arr.dtype == np.int64 and arr.tolist() == [[0], [1]]
+        assert [so.enumerate_modes(1).index_of(row) for row in values] == [0, 1]
+
     def test_binary_path_shape_checked(self):
         with pytest.raises(DimensionError):
             so.BinaryControlPath(grid(3), [[0], [1]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import switchopt as so
+from switchopt import simulate
 from switchopt.errors import DimensionError
 from switchopt.relaxed import project_rows_to_simplex
 from switchopt.simulate import _adjoint_values
@@ -86,6 +87,11 @@ def default_start(system, grid):
     u = so.ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper)
     w = so.RelaxedControlPath.uniform(grid, system.modes.n_modes)
     return u, w
+
+
+def _solve_from(system, grid, u, w):
+    vt = so.BinaryControlPath.constant(grid, system.modes.values[0])
+    return so.solve_relaxed_poc(system, grid, vt, 1.0, (u, w))
 
 
 class TestSolveRelaxedPoc:
@@ -191,12 +197,32 @@ class TestSolveRelaxedPoc:
             with pytest.raises(DimensionError):
                 so.penalized_objective(system, grid, u, w, vt, rho)
 
-    def test_rejects_warm_start_on_another_grid(self, fuller_50):
-        system, grid, _ = fuller_50
-        u, w = default_start(system, so.TimeGrid(grid.t_start, grid.t_end, 25))
-        vt = so.BinaryControlPath.constant(grid, [0])
+    @pytest.mark.parametrize("name, solve", [
+        pytest.param("fuller_50", lambda system, grid: _solve_from(
+            system, grid, *default_start(system, so.TimeGrid(grid.t_start, grid.t_end, 25))),
+            id="warm-start-grid"),
+        pytest.param("translines_coarse", lambda system, grid: _solve_from(
+            system, grid,
+            so.ContinuousControlPath.midpoint(grid, system.control_lower[:1],
+                                              system.control_upper[:1]),
+            so.RelaxedControlPath.uniform(grid, system.modes.n_modes)),
+            id="warm-start-control-channels"),
+        pytest.param("translines_coarse", lambda system, grid: _solve_from(
+            system, grid,
+            so.ContinuousControlPath.midpoint(grid, system.control_lower, system.control_upper),
+            so.RelaxedControlPath.uniform(grid, 3)),
+            id="warm-start-multiplier-columns"),
+        pytest.param("translines_coarse", lambda system, grid: so.best_response_continuous(
+            system, grid, np.full((grid.n_intervals, 3), 1.0 / 3)),
+            id="best-response-multiplier-columns"),
+        pytest.param("translines_coarse", lambda system, grid: so.best_response_continuous(
+            system, grid, np.full((grid.n_intervals - 1, 4), 0.25)),
+            id="best-response-multiplier-rows"),
+    ])
+    def test_rejects_controls_of_another_shape(self, request, name, solve):
+        system, grid, _ = request.getfixturevalue(name)
         with pytest.raises(DimensionError):
-            so.solve_relaxed_poc(system, grid, vt, 1.0, (u, w))
+            solve(system, grid)
 
     def test_options_validation(self):
         with pytest.raises(DimensionError):
@@ -253,7 +279,7 @@ class TestOneSweepPerAcceptedIterate:
 
 class TestNoMemoOutsideAScope:
     def test_repeated_solve_makes_the_same_model_calls(self, fuller_50):
-        # Only adm_penalty and cli.run replay sweeps; a library solve
+        # A library solve drops its sweep memo when it returns, so one
         # called twice sweeps every point twice.
         system, grid, _ = fuller_50
         system, counts = counted_system(system)
@@ -265,6 +291,17 @@ class TestNoMemoOutsideAScope:
             so.solve_relaxed_poc(system, grid, vt, 0.1, (u, w), options)
             calls.append(dict(counts))
         assert calls[1] == {name: 2 * n for name, n in calls[0].items()}
+
+    def test_library_solves_leave_no_memo(self, fuller_50, translines_coarse):
+        system, grid, _ = fuller_50
+        vt = so.BinaryControlPath.constant(grid, [0])
+        options = so.RelaxedSolveOptions(max_iterations=5)
+        so.solve_relaxed_poc(system, grid, vt, 0.1, default_start(system, grid), options)
+        assert simulate._memo.get() is None
+        system, grid, _ = translines_coarse
+        w = np.eye(system.modes.n_modes)[np.arange(grid.n_intervals) % system.modes.n_modes]
+        so.best_response_continuous(system, grid, w, options)
+        assert simulate._memo.get() is None
 
 
 class TestContinuousBestResponse:

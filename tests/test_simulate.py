@@ -520,12 +520,13 @@ class TestSystemContract:
 
 
 class TestRecordedSweep:
-    """The adjoint over a recorded forward sweep equals the self-sweeping one."""
+    """Inside a sweep memo scope, the adjoint right after a forward sweep at
+    the same arrays replays that sweep and equals the unscoped adjoint."""
 
     @pytest.mark.parametrize("name, integrator", [
         ("fuller_50", RK4), ("translines_coarse", EULER),
     ])
-    def test_bitwise_equal_to_own_sweep(self, request, name, integrator):
+    def test_bitwise_equal_to_own_sweep(self, request, monkeypatch, name, integrator):
         system, grid, _ = request.getfixturevalue(name)
         assert system.integrator == integrator
         rng = np.random.default_rng(17)
@@ -535,11 +536,16 @@ class TestRecordedSweep:
         w = rng.random((n, system.modes.n_modes))
         w /= w.sum(axis=1, keepdims=True)
         pen = rng.random(w.shape)
-        stages = []
-        states = _integrate_values(system, grid, u, w, stages)
-        assert len(stages) == n
         value, gu, gw = _adjoint_values(system, grid, u, w, pen)
-        value_r, gu_r, gw_r = _adjoint_values(system, grid, u, w, pen, (states, stages))
+        sweeps = []
+        sweep = simulate._forward_sweep
+        monkeypatch.setattr(simulate, "_forward_sweep",
+                            lambda *args: sweeps.append(args) or sweep(*args))
+        with _sweep_memo():
+            _integrate_values(system, grid, u, w)
+            assert len(sweeps) == 1
+            value_r, gu_r, gw_r = _adjoint_values(system, grid, u, w, pen)
+        assert len(sweeps) == 1
         assert value_r == value
         assert gu_r.tobytes() == gu.tobytes()
         assert gw_r.tobytes() == gw.tobytes()
@@ -644,11 +650,68 @@ class TestSystemValidation:
         assert free.control_lower[0] == -np.inf and free.control_upper[0] == np.inf
 
 
+def two_loop_jacobian_error(system, rng, n_points):
+    """Worst relative Jacobian error, written as separate state and control
+    difference loops: the reference for ``validate_derivatives``."""
+    step = 1e-6
+    worst = 0.0
+    for _ in range(n_points):
+        t = float(rng.uniform(0.0, 1.0))
+        y = rng.standard_normal(system.state_dim)
+        u = rng.standard_normal(system.control_dim)
+        mode = system.modes.values[rng.integers(system.modes.n_modes)]
+        jy = np.asarray(system.rhs_jac_state(t, y, u, mode), dtype=np.float64)
+        ju = np.asarray(system.rhs_jac_control(t, y, u, mode), dtype=np.float64)
+        fd_y = np.zeros_like(jy)
+        for j in range(system.state_dim):
+            dy = np.zeros(system.state_dim)
+            dy[j] = step
+            fd_y[:, j] = (
+                system.rhs(t, y + dy, u, mode) - system.rhs(t, y - dy, u, mode)
+            ) / (2 * step)
+        fd_u = np.zeros_like(ju)
+        for j in range(system.control_dim):
+            du = np.zeros(system.control_dim)
+            du[j] = step
+            fd_u[:, j] = (
+                system.rhs(t, y, u + du, mode) - system.rhs(t, y, u - du, mode)
+            ) / (2 * step)
+        denom = max(1.0, float(np.abs(jy).max()) if jy.size else 1.0,
+                    float(np.abs(ju).max()) if ju.size else 1.0)
+        err = 0.0
+        if jy.size:
+            err = max(err, float(np.abs(jy - fd_y).max()) / denom)
+        if ju.size:
+            err = max(err, float(np.abs(ju - fd_u).max()) / denom)
+        worst = max(worst, err)
+    return worst
+
+
 class TestDerivativeValidation:
     def test_benchmark_jacobians_consistent(self, fuller_50, translines_coarse):
         rng = np.random.default_rng(17)
         assert so.validate_derivatives(fuller_50[0], rng, n_points=5) <= 1e-5
         assert so.validate_derivatives(translines_coarse[0], rng, n_points=3) <= 1e-5
+
+    def test_error_is_the_two_loop_reference(self, fuller_50, translines_coarse):
+        for system, n_points in ((fuller_50[0], 5), (translines_coarse[0], 3)):
+            got = so.validate_derivatives(system, np.random.default_rng(17), n_points)
+            assert got == two_loop_jacobian_error(system, np.random.default_rng(17), n_points)
+
+    def test_detects_wrong_control_jacobian(self):
+        modes = so.enumerate_modes(1)
+        system = so.SwitchedSystem(
+            state_dim=1, control_dim=1, modes=modes,
+            rhs=lambda t, y, u, r: np.array([y[0] * u[0] ** 2]),
+            rhs_jac_state=lambda t, y, u, r: np.array([[u[0] ** 2]]),
+            rhs_jac_control=lambda t, y, u, r: np.array([[y[0] * u[0]]]),  # wrong by 2x
+            terminal_cost=lambda y: 0.0,
+            terminal_cost_gradient=lambda y: np.zeros(1),
+            initial_state=np.zeros(1),
+            control_lower=np.zeros(1), control_upper=np.ones(1),
+        )
+        with pytest.raises(AssertionError):
+            so.validate_derivatives(system, np.random.default_rng(0), n_points=3)
 
     def test_detects_wrong_jacobian(self):
         modes = so.enumerate_modes(1)

@@ -16,7 +16,14 @@ Covered outputs:
   four-step translines instance whose leaves solve for continuous controls;
 * ``adm_penalty`` called as a library function (Fuller N=100, tau_min 0.05,
   both variants), which runs in its own forward-sweep memo scope rather than
-  the one ``cli.run`` enters.
+  the one ``cli.run`` enters;
+* library calls outside both of those scopes: ``solve_relaxed_poc`` on
+  Fuller N=50 and on the 52-step translines instance,
+  ``best_response_continuous`` on that translines instance, and
+  ``sur_heuristic`` and ``ciap_heuristic`` on Fuller N=100.
+
+Lines are only ever appended, so two checkouts of different ages can be
+compared on the lines both print.
 """
 
 from __future__ import annotations
@@ -139,11 +146,47 @@ def _library_lines():
     for variant in (switchopt.ADM_PLAIN, switchopt.ADM_SUR):
         options = switchopt.AdmOptions(variant=variant)
         res = switchopt.adm_penalty(fuller, grid, spec, options=options)
-        yield (f"adm_penalty fuller N=100 tau=0.05 {variant}",
-               _digest(res.u_final.values.tobytes(), res.v_final.values.tobytes(),
-                       res.v_tilde_final.values.tobytes(), res.relaxed_w_final.values.tobytes(),
-                       res.objective, res.penalty_value, res.rho_final, res.feasible,
-                       res.converged, res.p_eps_certificate, res.trace))
+        yield f"adm_penalty fuller N=100 tau=0.05 {variant}", _result_digest(res)
+
+    yield from _unscoped_solve_lines()
+
+
+def _result_digest(res) -> str:
+    return _digest(res.u_final.values.tobytes(), res.v_final.values.tobytes(),
+                   res.v_tilde_final.values.tobytes(), res.relaxed_w_final.values.tobytes(),
+                   res.objective, res.penalty_value, res.rho_final, res.feasible,
+                   res.converged, res.p_eps_certificate, res.trace)
+
+
+def _unscoped_solve_lines():
+    """Relaxed solves and heuristics called as library functions."""
+    options = switchopt.RelaxedSolveOptions(max_iterations=200)
+    translines = switchopt.build_translines(
+        switchopt.translines_subgrid_config(volumes_per_line=2, n_time_steps=52))
+    fuller_50 = switchopt.build_fuller(switchopt.FullerConfig(tau_min=0.05, n_intervals=50))
+    for name, (system, grid, _) in (("fuller N=50", fuller_50), ("translines N=52", translines)):
+        v_tilde = switchopt.BinaryControlPath.constant(grid, system.modes.values[0])
+        start = (
+            switchopt.ContinuousControlPath.midpoint(
+                grid, system.control_lower, system.control_upper),
+            switchopt.RelaxedControlPath.uniform(grid, system.modes.n_modes),
+        )
+        res = switchopt.solve_relaxed_poc(system, grid, v_tilde, 0.1, start, options)
+        yield (f"solve_relaxed_poc {name} rho=0.1",
+               _digest(res.u.values.tobytes(), res.w.values.tobytes(), res.value,
+                       res.stationarity, res.iterations, res.converged))
+
+    system, grid, _ = translines
+    m = system.modes.n_modes
+    u, value = switchopt.best_response_continuous(
+        system, grid, np.eye(m)[np.arange(grid.n_intervals) % m], options)
+    yield "best_response_continuous translines N=52", _digest(u.tobytes(), value)
+
+    fuller, grid, spec = switchopt.build_fuller(
+        switchopt.FullerConfig(tau_min=0.05, n_intervals=100))
+    for heuristic in (switchopt.sur_heuristic, switchopt.ciap_heuristic):
+        res = heuristic(fuller, grid, spec)
+        yield f"{heuristic.__name__} fuller N=100 tau=0.05", _result_digest(res)
 
 
 def _small_controlled_translines():

@@ -243,10 +243,11 @@ def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
 
 
 def _write_csv(path: Path, header, rows):
+    """Numbers in ``_fmt`` notation; string cells (a sweep's NA) as they are."""
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n")
 
 
 def _store_outputs(system, grid, result: AdmResult, payload, out_dir: Path, label: str):
@@ -366,24 +367,35 @@ def load_controls_csv(path, grid, system):
     """Rebuild control paths from a stored controls CSV.
 
     Returns (u, v or None, w): binary columns when the file stores a binary
-    result, relaxed multiplier columns otherwise.
+    result, relaxed multiplier columns otherwise.  An empty or ragged table
+    raises DimensionError; a cell that is not a number, a column other than
+    ``t`` and distinct numbered u, v and w columns, or no v or w column
+    raises RepresentationError.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [[float(x) for x in line.strip().split(",")] for line in fh if line.strip()]
-    data = np.array(rows)
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    v_names = sorted((n for n in header if n.startswith("v")), key=lambda s: int(s[1:]))
-    w_names = sorted((n for n in header if n.startswith("w")), key=lambda s: int(s[1:]))
-    u_names = sorted((n for n in header if n.startswith("u")), key=lambda s: int(s[1:]))
-    u_vals = (
-        np.column_stack([cols[n] for n in u_names])
-        if u_names else np.zeros((grid.n_intervals, 0))
-    )
-    u = ContinuousControlPath(grid, u_vals, system.control_lower, system.control_upper)
-    if v_names:
-        return u, BinaryControlPath(grid, np.column_stack([cols[n] for n in v_names])), None
-    w_vals = np.column_stack([cols[n] for n in w_names])
+        lines = [line.strip().split(",") for line in fh if line.strip()]
+    if not lines or any(len(cells) != len(header) for cells in lines):
+        raise DimensionError(f"{path}: the controls table is empty or ragged")
+    known = all(name == "t" or (name[:1] in "uvw" and name[1:].isdecimal()) for name in header)
+    if not known or len(set(header)) < len(header):
+        raise RepresentationError(f"{path}: the columns are not t and numbered u, v and w")
+    try:
+        data = np.array([[float(x) for x in cells] for cells in lines])
+    except ValueError:
+        raise RepresentationError(f"{path}: a controls cell is not a number") from None
+
+    def numbered(prefix):
+        """The columns named ``prefix`` and a number, in number order."""
+        order = sorted((int(name[1:]), i) for i, name in enumerate(header) if name[0] == prefix)
+        return data[:, [i for _, i in order]]
+
+    v_vals, w_vals = numbered("v"), numbered("w")
+    if not (v_vals.shape[1] or w_vals.shape[1]):
+        raise RepresentationError(f"{path}: the controls table has neither v nor w columns")
+    u = ContinuousControlPath(grid, numbered("u"), system.control_lower, system.control_upper)
+    if v_vals.shape[1]:
+        return u, BinaryControlPath(grid, v_vals), None
     return u, None, RelaxedControlPath(grid, w_vals)
 
 
@@ -428,12 +440,7 @@ def sweep(base: RunConfig, methods, tau_min_values=None, rho_factor_values=None)
                 row.append(f"NA({exc})")
         table_rows.append(row)
     table_path = out_dir / "sweep.csv"
-    with table_path.open("w") as fh:
-        fh.write(",".join([param_name] + list(methods)) + "\n")
-        for row in table_rows:
-            fh.write(
-                ",".join(x if isinstance(x, str) else _fmt(x) for x in row) + "\n"
-            )
+    _write_csv(table_path, [param_name] + list(methods), table_rows)
     return table_path
 
 

@@ -247,8 +247,8 @@ class ContinuousControlPath:
             )
         if lo.shape != (arr.shape[1],) or hi.shape != (arr.shape[1],):
             raise DimensionError("bounds must have one entry per control channel")
-        if np.any(lo > hi):
-            raise DimensionError("lower bounds exceed upper bounds")
+        if not (lo <= hi).all():
+            raise DimensionError("bounds must be ordered, lower <= upper, and not NaN")
         if not np.isfinite(arr).all():
             raise RepresentationError("continuous control values must be finite")
         if arr.size and (np.any(arr < lo) or np.any(arr > hi)):

@@ -380,27 +380,6 @@ class OracleResult:
     best_u: Optional[np.ndarray] = None
 
 
-def _oracle_tree_size(expand, initial: np.ndarray, n: int, limit: int) -> int:
-    """Node count of the oracle's n-level tree, stopping once it passes ``limit``.
-
-    Counts run level by level over the distinct joint automaton states with
-    their multiplicities, so the cost grows with the states, not the nodes.
-    """
-    states = initial
-    counts = np.ones(len(initial), dtype=np.int64)
-    total = len(initial)
-    for _ in range(1, n):
-        if total > limit:
-            break
-        rows, _, children = expand(states)
-        states, inverse = np.unique(children, axis=0, return_inverse=True)
-        level = np.zeros(len(states), dtype=np.int64)
-        np.add.at(level, inverse.reshape(-1), counts[rows])
-        counts = level
-        total += int(counts.sum())
-    return total
-
-
 def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
                   spec: CombinatorialSpec, max_nodes: int = 10_000_000) -> OracleResult:
     """Exhaustive search over dwell-feasible mode sequences on a coarse grid.
@@ -413,11 +392,16 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     complete sequence additionally minimizes over them.  The best value is
     the exact discretized global optimum once enumeration completes.
 
-    The tree is counted first; when it has more than ``max_nodes`` nodes the
-    chunks hold one row each, the node-by-node walk, whose budget exit
-    returns the best complete sequence among its first ``max_nodes`` nodes
-    with ``proven_optimal=False``.  A budget spent before the first complete
-    sequence raises ``CapacityError``.
+    The budget admits the first ``max_nodes`` nodes of the tree in preorder.
+    Each depth's nodes are created in lexicographic order, so a new node's
+    rank among its depth is the count created there before it, and
+    ``pre = pre[parent] + 1 + rank`` (a root's is its mode) is its preorder
+    index for a complete sequence and a lower bound on it otherwise.  A node
+    with ``pre >= max_nodes`` lies past the budget, as does every node after
+    it; the walk drops it and its unwalked successors and reports
+    ``nodes_explored=max_nodes`` with ``proven_optimal=False``, the best
+    complete sequence among those first nodes.  A budget spent before the
+    first complete sequence raises ``CapacityError``.
     """
     _check_max_nodes(max_nodes)
     n = grid_coarse.n_intervals
@@ -455,9 +439,6 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         rows, taken = np.nonzero((following >= 0).all(-1))
         return rows, taken, following[rows, taken]
 
-    fits = _oracle_tree_size(expand, initial, n, max_nodes) <= max_nodes
-    chunk_rows = ORACLE_CHUNK_ROWS if fits else 1
-
     has_u = system.control_dim > 0
     h = grid_coarse.step
     onehot_rows = np.eye(m)
@@ -471,34 +452,42 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
                      onehot_rows[taken], h)[0]
 
     # Stack entries: (mode sequences, joint automaton states, states after
-    # the last interval), one row per node of the chunk.
+    # the last interval, preorder bounds), one row per node of the chunk.
     stack = []
+    truncated = False
 
-    def push(seqs, states, ys):
-        for start in reversed(range(0, len(seqs), chunk_rows)):
-            rows = slice(start, start + chunk_rows)
-            stack.append((seqs[rows], states[rows], None if ys is None else ys[rows]))
+    def push(seqs, states, ys, pre):
+        """Push the new nodes with pre under the budget as chunks; others truncate."""
+        nonlocal truncated
+        kept = int(np.searchsorted(pre, max_nodes))
+        if kept < len(pre):
+            # Everything on the stack comes after the first dropped node.
+            truncated = True
+            stack.clear()
+        for start in reversed(range(0, kept, ORACLE_CHUNK_ROWS)):
+            rows = slice(start, min(start + ORACLE_CHUNK_ROWS, kept))
+            stack.append((seqs[rows], states[rows], None if ys is None else ys[rows], pre[rows]))
 
     first = np.arange(m)
     push(first.astype(np.min_scalar_type(m - 1))[:, None], initial,
-         advance(0, system.initial_state[None], np.zeros(m, dtype=np.int64), first))
+         advance(0, system.initial_state[None], np.zeros(m, dtype=np.int64), first), first)
 
     best_value = np.inf
     best_sequence = None
     best_u = None
     nodes = 0
-    truncated = False
+    # ranks[k]: nodes of depth k (k + 1 intervals) created so far.
+    ranks = [0] * n
     while stack:
-        if nodes >= max_nodes:
-            truncated = True
-            break
-        seqs, states, ys = stack.pop()
+        seqs, states, ys, pre = stack.pop()
         nodes += len(seqs)
         k = seqs.shape[1]
         if k < n:
             rows, taken, children = expand(states)
+            child_pre = pre[rows] + 1 + ranks[k] + np.arange(len(rows))
+            ranks[k] += len(rows)
             push(np.column_stack((seqs[rows], taken.astype(seqs.dtype))), children,
-                 advance(k, ys, rows, taken))
+                 advance(k, ys, rows, taken), child_pre)
             continue
         for i, seq in enumerate(seqs):
             if has_u:
@@ -521,7 +510,7 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
     return OracleResult(
         best_control=BinaryControlPath(grid_coarse, modes.values[best_sequence]),
         best_value=float(best_value),
-        nodes_explored=nodes,
+        nodes_explored=int(max_nodes) if truncated else nodes,
         proven_optimal=not truncated,
         best_u=best_u,
     )

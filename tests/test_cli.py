@@ -145,6 +145,26 @@ class TestRun:
             with pytest.raises(so.RepresentationError):
                 load_controls_csv(path, grid, system)
 
+    @pytest.mark.parametrize("text, error", [
+        ("t,v1\n", so.DimensionError),
+        ("t,v1\n0.0\n", so.DimensionError),
+        ("t,v1\n0.0,1,2\n", so.DimensionError),
+        ("t\n0.0\n", so.RepresentationError),
+        ("t,u1\n0.0,0.5\n", so.RepresentationError),
+        ("t,v1,vx\n0.0,1,0\n", so.RepresentationError),
+        ("t,v\n0.0,1\n", so.RepresentationError),
+        ("t,x1\n0.0,1\n", so.RepresentationError),
+        ("t,v1,v1\n0.0,1,1\n", so.RepresentationError),
+        ("t,v1\n0.0,one\n", so.RepresentationError),
+    ], ids=["no-rows", "short-row", "long-row", "no-controls", "only-u", "unnumbered",
+            "bare-prefix", "unknown-column", "duplicate-column", "non-number"])
+    def test_malformed_controls_csv_is_rejected(self, tmp_path, text, error):
+        system, grid, _ = so.build_fuller(so.FullerConfig(0.05, 1))
+        path = tmp_path / "controls.csv"
+        path.write_text(text)
+        with pytest.raises(error):
+            load_controls_csv(path, grid, system)
+
     def test_poc_roundtrip_with_relaxed_columns(self, tmp_path):
         record = cli.run(run_config(tmp_path, method="poc", n_intervals=30))
         system, grid, _ = so.build_fuller(so.FullerConfig(0.05, 30))
@@ -557,9 +577,13 @@ class TestSweep:
 
     def test_failed_cell_records_na(self, tmp_path):
         base = run_config(tmp_path, method="oracle", n_intervals=64)
-        table = cli.sweep(base, ["oracle"], tau_min_values=[0.1])
-        body = Path(table).read_text()
-        assert "NA(" in body
+        table = cli.sweep(base, ["sur", "oracle"], tau_min_values=[0.1])
+        record = json.loads((tmp_path / "sweep_tau_min_0.1_sur_result.json").read_text())
+        # Numbers in the CSV notation, the failed cell's NA text as it is.
+        assert Path(table).read_text() == (
+            "tau_min,sur,oracle\n"
+            f"0.1,{cli._fmt(record['objective'])},NA(the oracle needs at most 32 intervals)\n"
+        )
 
     def test_rho_factor_sweep_deterministic(self, tmp_path):
         base = run_config(

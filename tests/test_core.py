@@ -507,6 +507,10 @@ def _two_bit_onehot():
                  DimensionError, id="continuous-bound-length"),
     pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((4, 1)), [1.0], [0.0]),
                  DimensionError, id="continuous-bounds-crossed"),
+    pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((4, 1)), [np.nan], [1.0]),
+                 DimensionError, id="continuous-bounds-nan-lower"),
+    pytest.param(lambda: so.ContinuousControlPath(grid(4), np.zeros((4, 1)), [0.0], [np.nan]),
+                 DimensionError, id="continuous-bounds-nan-upper"),
     pytest.param(lambda: so.CombinatorialSpec((2, 2), max_dwell=(3,)), DimensionError,
                  id="spec-max-dwell-length"),
     pytest.param(lambda: so.CombinatorialSpec((2, 2), max_switches=(3,)), DimensionError,

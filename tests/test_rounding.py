@@ -943,14 +943,50 @@ class TestGlobalOracle:
         assert res.proven_optimal
 
     @pytest.mark.parametrize("name", ORACLE_CASES)
-    @pytest.mark.parametrize("budget", ["n", 50, 500, "size - 1", "size"])
-    def test_matches_reference_walk_under_node_budget(self, name, budget):
+    @pytest.mark.parametrize(
+        "budget", ["n", 50, 123, "size // 2", 500, "size - 1", "size"])
+    @pytest.mark.parametrize("chunk_rows", [ORACLE_CHUNK_ROWS, 3, 1])
+    def test_matches_reference_walk_under_node_budget(self, monkeypatch, name, budget,
+                                                      chunk_rows):
+        # The budget exit drops the nodes past it whatever the chunk size.
+        monkeypatch.setattr(rounding, "ORACLE_CHUNK_ROWS", chunk_rows)
         system, grid, spec = ORACLE_CASES[name]()
         size = oracle_tree_size(name)
-        max_nodes = {"n": grid.n_intervals, "size - 1": size - 1, "size": size}.get(budget, budget)
+        max_nodes = {"n": grid.n_intervals, "size // 2": size // 2, "size - 1": size - 1,
+                     "size": size}.get(budget, budget)
         res = self.assert_same_walk(system, grid, spec, max_nodes)
         assert res.proven_optimal == (max_nodes >= size)
         assert res.nodes_explored == min(max_nodes, size)
+
+    # The controlled translines tree has 156 nodes.
+    @pytest.mark.parametrize("max_nodes", [13, 100])
+    @pytest.mark.parametrize("chunk_rows", [ORACLE_CHUNK_ROWS, 3])
+    def test_controlled_leaves_match_reference_walk_under_node_budget(
+            self, monkeypatch, max_nodes, chunk_rows):
+        monkeypatch.setattr(rounding, "ORACLE_CHUNK_ROWS", chunk_rows)
+        res = self.assert_same_walk(*small_controlled_translines(), max_nodes)
+        assert not res.proven_optimal
+        assert res.nodes_explored == max_nodes
+        assert res.best_u is not None
+
+    @pytest.mark.parametrize("max_nodes", [100, 2_000, 20_000])
+    def test_budget_exit_steps_little_past_the_budget(self, monkeypatch, max_nodes):
+        # Past the first dropped node the walk only finishes the expansions
+        # under way, about one chunk per depth; walking the stack's later
+        # chunks too would step several times the budget here.
+        monkeypatch.setattr(rounding, "ORACLE_CHUNK_ROWS", 3)
+        stepped = []
+
+        def counting_step(system, t, y, *rest):
+            stepped.append(len(y))
+            return _step(system, t, y, *rest)
+
+        monkeypatch.setattr(rounding, "_step", counting_step)
+        system, grid, spec = so.build_fuller(so.FullerConfig(0.1, 20))
+        res = so.global_oracle(system, grid, spec, max_nodes=max_nodes)
+        assert (res.nodes_explored, res.proven_optimal) == (max_nodes, False)
+        look_ahead = grid.n_intervals * system.modes.n_modes * 3
+        assert max_nodes <= sum(stepped) <= max_nodes + look_ahead
 
     @pytest.mark.parametrize("max_nodes", [0, 10, 19])
     def test_budget_before_first_leaf_is_a_capacity_error(self, max_nodes):

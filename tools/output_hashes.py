@@ -21,6 +21,9 @@ Covered outputs:
   Fuller N=50 and on the 52-step translines instance,
   ``best_response_continuous`` on that translines instance, and
   ``sur_heuristic`` and ``ciap_heuristic`` on Fuller N=100.
+* ``global_oracle`` budget exits deep in the walk: Fuller N=20 at 20,000
+  and 57,309 nodes (one short of its tree) and Fuller N=16 componentwise,
+  d=3, at 1,000 of its 2,550 nodes.
 
 Lines are only ever appended, so two checkouts of different ages can be
 compared on the lines both print.
@@ -149,6 +152,7 @@ def _library_lines():
         yield f"adm_penalty fuller N=100 tau=0.05 {variant}", _result_digest(res)
 
     yield from _unscoped_solve_lines()
+    yield from _budgeted_oracle_lines()
 
 
 def _result_digest(res) -> str:
@@ -187,6 +191,18 @@ def _unscoped_solve_lines():
     for heuristic in (switchopt.sur_heuristic, switchopt.ciap_heuristic):
         res = heuristic(fuller, grid, spec)
         yield f"{heuristic.__name__} fuller N=100 tau=0.05", _result_digest(res)
+
+
+def _budgeted_oracle_lines():
+    fuller, grid, spec = switchopt.build_fuller(switchopt.FullerConfig(tau_min=0.1, n_intervals=20))
+    cases = [("fuller N=20", grid, spec, max_nodes) for max_nodes in (20_000, 57_309)]
+    cases.append(("fuller N=16 d=3 componentwise", switchopt.TimeGrid(0.0, 1.0, 16),
+                  switchopt.CombinatorialSpec.uniform(1, 3), 1_000))
+    for name, grid, spec, max_nodes in cases:
+        res = switchopt.global_oracle(fuller, grid, spec, max_nodes=max_nodes)
+        yield (f"global_oracle {name} max_nodes={max_nodes}",
+               _digest(res.best_control.values.tobytes(), res.best_value,
+                       res.nodes_explored, res.proven_optimal))
 
 
 def _small_controlled_translines():

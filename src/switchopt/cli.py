@@ -367,10 +367,11 @@ def load_controls_csv(path, grid, system):
     """Rebuild control paths from a stored controls CSV.
 
     Returns (u, v or None, w): binary columns when the file stores a binary
-    result, relaxed multiplier columns otherwise.  An empty or ragged table
-    raises DimensionError; a cell that is not a number, a column other than
-    ``t`` and distinct numbered u, v and w columns, or no v or w column
-    raises RepresentationError.
+    result, relaxed multiplier columns otherwise.  An empty or ragged table,
+    or a ``t`` cell that is not the grid's left node at the writer's 12
+    significant digits, raises DimensionError; a cell that is not a number, a
+    column other than ``t`` and distinct numbered u, v and w columns, or no v
+    or w column raises RepresentationError.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -384,6 +385,10 @@ def load_controls_csv(path, grid, system):
         data = np.array([[float(x) for x in cells] for cells in lines])
     except ValueError:
         raise RepresentationError(f"{path}: a controls cell is not a number") from None
+    if "t" in header:
+        times = data[:, header.index("t")]
+        if any(_fmt(t) != _fmt(node) for t, node in zip(times, grid.nodes()[:-1])):
+            raise DimensionError(f"{path}: the t column is not this grid's left nodes")
 
     def numbered(prefix):
         """The columns named ``prefix`` and a number, in number order."""

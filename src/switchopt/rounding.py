@@ -297,15 +297,15 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
 
     # Node storage: parents[i] = (parent index, mode at this node's interval).
+    # Heap keys (bound, -depth, node id, state, gamma) are unique, so the pop
+    # order does not depend on where a key is stored: the least child of the
+    # last expansion is held out of the heap, and ``heappushpop`` returns it
+    # untouched whenever it is below ``heap[0]``.
     parents = []
     heap = []
+    held = None
     incumbent = None  # (deviation, node index)
     pops = 0
-
-    def push(depth, mode, state, gamma, bound, parent):
-        node_id = len(parents)
-        parents.append((parent, mode))
-        heapq.heappush(heap, (bound, -depth, node_id, state, gamma))
 
     def reconstruct(node_id):
         seq = []
@@ -320,11 +320,15 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
 
     for mode in range(m):
         gamma = tuple(steps[0][mode])
-        push(0, mode, int(automaton.initial_state[mode]), gamma, max(map(abs, gamma)), -1)
+        parents.append((-1, mode))
+        heap.append((max(map(abs, gamma)), 0, mode, int(automaton.initial_state[mode]), gamma))
+    heapq.heapify(heap)
 
     best_leaf = None
     while pops < max_nodes:
-        bound, neg_depth, node_id, state, gamma = heapq.heappop(heap)
+        node = heapq.heappop(heap) if held is None else heapq.heappushpop(heap, held)
+        bound, neg_depth, node_id, state, gamma = node
+        held = None
         pops += 1
         depth = -neg_depth
         if depth == n - 1:
@@ -337,15 +341,23 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             new_bound = max(bound, max(map(abs, new_gamma)))
             if incumbent is not None and new_bound >= incumbent[0]:
                 continue
+            child = (new_bound, -k, len(parents), new_state, new_gamma)
             if k == n - 1:
-                incumbent = (new_bound, len(parents))
-            push(k, new_mode, new_state, new_gamma, new_bound, node_id)
+                incumbent = (new_bound, child[2])
+            parents.append((node_id, new_mode))
+            # Siblings share a depth and ids ascend: only a lower bound is less.
+            if held is None or new_bound < held[0]:
+                held, child = child, held
+            if child is not None:
+                heapq.heappush(heap, child)
 
     proven = best_leaf is not None
     if not proven:
         if incumbent is None:
             # Budget ran out before any complete assignment: finish the best
             # frontier node by holding its mode, which is always feasible.
+            if held is not None:
+                heapq.heappush(heap, held)
             bound, neg_depth, node_id, state, gamma = heap[0]
             mode = automaton.values[state]
             for k in range(-neg_depth + 1, n):

@@ -156,8 +156,9 @@ class TestRun:
         ("t,x1\n0.0,1\n", so.RepresentationError),
         ("t,v1,v1\n0.0,1,1\n", so.RepresentationError),
         ("t,v1\n0.0,one\n", so.RepresentationError),
+        ("t,v1\n5.0,1\n", so.DimensionError),
     ], ids=["no-rows", "short-row", "long-row", "no-controls", "only-u", "unnumbered",
-            "bare-prefix", "unknown-column", "duplicate-column", "non-number"])
+            "bare-prefix", "unknown-column", "duplicate-column", "non-number", "off-grid-t"])
     def test_malformed_controls_csv_is_rejected(self, tmp_path, text, error):
         system, grid, _ = so.build_fuller(so.FullerConfig(0.05, 1))
         path = tmp_path / "controls.csv"

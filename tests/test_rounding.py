@@ -1,5 +1,8 @@
+import collections
 import functools
+import heapq
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -548,6 +551,63 @@ def exhaustive_ciap(values, h, d, dmax=None, budget=None):
     return float(best)
 
 
+def reference_ciap(w, spec, grid, max_nodes):
+    """CIAP as a push-every-child, pop-every-node best-first loop; returns
+    (deviation, nodes, proven, path, exit), where exit names how it ended:
+    "leaf" (a popped leaf), "incumbent" (a budget exit with a pushed leaf)
+    or "frontier" (a budget exit that completes the best frontier node)."""
+    n, m, h = grid.n_intervals, w.n_modes, grid.step
+    automaton = _DwellAutomaton(m, *spec.component(0))
+    successors = [[(mode, t) for mode, t in enumerate(row) if t >= 0]
+                  for row in automaton.next_state.tolist()]
+    steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
+    parents, heap, incumbent, pops = [], [], None, 0
+
+    def push(depth, mode, state, gamma, bound, parent):
+        heapq.heappush(heap, (bound, -depth, len(parents), state, gamma))
+        parents.append((parent, mode))
+
+    for mode in range(m):
+        gamma = tuple(steps[0][mode])
+        push(0, mode, int(automaton.initial_state[mode]), gamma, max(map(abs, gamma)), -1)
+    best_leaf, exit_kind = None, "leaf"
+    while pops < max_nodes:
+        bound, neg_depth, node_id, state, gamma = heapq.heappop(heap)
+        pops += 1
+        if -neg_depth == n - 1:
+            best_leaf = (bound, node_id)
+            break
+        k = 1 - neg_depth
+        for new_mode, new_state in successors[state]:
+            new_gamma = tuple(map(operator.add, gamma, steps[k][new_mode]))
+            new_bound = max(bound, max(map(abs, new_gamma)))
+            if incumbent is not None and new_bound >= incumbent[0]:
+                continue
+            if k == n - 1:
+                incumbent = (new_bound, len(parents))
+            push(k, new_mode, new_state, new_gamma, new_bound, node_id)
+    if best_leaf is None:
+        exit_kind = "incumbent"
+        if incumbent is None:
+            exit_kind = "frontier"
+            bound, neg_depth, node_id, state, gamma = heap[0]
+            mode = automaton.values[state]
+            for k in range(1 - neg_depth, n):
+                gamma = tuple(map(operator.add, gamma, steps[k][mode]))
+                bound = max(bound, max(map(abs, gamma)))
+                parents.append((node_id, mode))
+                node_id = len(parents) - 1
+            incumbent = (bound, node_id)
+        best_leaf = incumbent
+    deviation, node_id = best_leaf
+    seq = []
+    while node_id >= 0:
+        node_id, mode = parents[node_id]
+        seq.append(mode)
+    path = "".join(str(mode) for mode in reversed(seq))
+    return deviation, pops, exit_kind == "leaf", path, exit_kind
+
+
 class TestConstrainedCiap:
     def test_feasible_onehot_returned_as_is(self):
         g = so.TimeGrid(0.0, 6.0, 6)
@@ -661,6 +721,10 @@ class TestConstrainedCiap:
         # no popped leaf, and then its proven optimum.
         (0, 4, 10, 2, 4, 32, (0.12534176488482582, 32, False, "1002233000")),
         (0, 4, 10, 2, 4, 1_000_000, (0.10442302185937932, 48, True, "1002233300")),
+        # The benchmark's budgeted instance at the benchmark's node budget.
+        (7, 4, 60, 3, 8, 100_000, (
+            0.28673075054671304, 100_000, False,
+            "110000333222221111133333322200011111111111111111111111111111")),
     ])
     def test_golden_results(self, seed, modes, n, d, budget, max_nodes, want):
         g = so.TimeGrid(0.0, 1.0, n)
@@ -672,6 +736,33 @@ class TestConstrainedCiap:
         res = so.constrained_ciap(w, spec, g, max_nodes=max_nodes)
         path = "".join(str(mode) for mode in res.control.selected_modes())
         assert (res.deviation, res.nodes_explored, res.proven_optimal, path) == want
+
+    def test_matches_reference_loop(self):
+        # Each instance is solved to its end, then stopped at three budgets
+        # of 0-300 pops below that, which fall before, at and after the
+        # first leaf is pushed.
+        rng = np.random.default_rng(2021)
+        exits = collections.Counter()
+        for _ in range(150):
+            m = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 25))
+            d = int(rng.integers(1, 4))
+            dmax = None if rng.random() < 0.5 else d + int(rng.integers(0, 3))
+            budget = None if rng.random() < 0.3 else int(rng.integers(0, 6))
+            g = so.TimeGrid(0.0, 1.0, n)
+            w = so.RelaxedControlPath(g, rng.dirichlet(np.full(m, 0.5), size=n))
+            spec = so.CombinatorialSpec.uniform(
+                1, d, max_dwell=dmax, max_switches=budget, representation=so.MODEWISE
+            )
+            pops = reference_ciap(w, spec, g, 1_000_000)[1]
+            budgets = rng.integers(0, min(pops, 300) + 1, size=3).tolist()
+            for max_nodes in [1_000_000, *budgets]:
+                *want, exit_kind = reference_ciap(w, spec, g, max_nodes)
+                exits[exit_kind] += 1
+                res = so.constrained_ciap(w, spec, g, max_nodes=max_nodes)
+                path = "".join(str(mode) for mode in res.control.selected_modes())
+                assert [res.deviation, res.nodes_explored, res.proven_optimal, path] == want
+        assert min(exits[kind] for kind in ("leaf", "incumbent", "frontier")) >= 20, exits
 
 
 def make_two_switch_system():

@@ -24,6 +24,8 @@ Covered outputs:
 * ``global_oracle`` budget exits deep in the walk: Fuller N=20 at 20,000
   and 57,309 nodes (one short of its tree) and Fuller N=16 componentwise,
   d=3, at 1,000 of its 2,550 nodes.
+* the benchmark's budgeted ``constrained_ciap`` instance (4 modes, N=60,
+  d=3, budget 8) at its 100,000-node budget, which pushes no leaf.
 
 Lines are only ever appended, so two checkouts of different ages can be
 compared on the lines both print.
@@ -153,6 +155,7 @@ def _library_lines():
 
     yield from _unscoped_solve_lines()
     yield from _budgeted_oracle_lines()
+    yield _budgeted_ciap_line()
 
 
 def _result_digest(res) -> str:
@@ -203,6 +206,16 @@ def _budgeted_oracle_lines():
         yield (f"global_oracle {name} max_nodes={max_nodes}",
                _digest(res.best_control.values.tobytes(), res.best_value,
                        res.nodes_explored, res.proven_optimal))
+
+
+def _budgeted_ciap_line():
+    grid, w = _multipliers(np.random.default_rng(7), 60, 4)
+    spec = switchopt.CombinatorialSpec.uniform(
+        1, 3, max_switches=8, representation=switchopt.MODEWISE)
+    res = switchopt.constrained_ciap(w, spec, grid, max_nodes=100_000)
+    return ("constrained_ciap 4 modes N=60 d=3 budget=8 max_nodes=100000",
+            _digest(res.control.values.tobytes(), res.deviation, res.nodes_explored,
+                    res.proven_optimal))
 
 
 def _small_controlled_translines():

@@ -1,29 +1,29 @@
 """Run alternating parent/change benchmark pairs and write one summary file.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
-        --workload combinatorial --pairs 10 --first-seed 2101 --seconds 20 \\
-        --claim combinatorial:solve_s --out BENCH_21.json
+        --workload combinatorial --pairs 10 --first-seed 2101 --out BENCH_21.json
 
 ``--parent`` and ``--change`` are the roots of two source checkouts; each
 runs ``bench/run.py --trace 0`` from its own root, so each benchmarks its own
-``src``.  Pair ``i`` of a workload uses seed ``first_seed + i`` (the next
-workload's seeds follow on), and the side that runs first alternates: the
-parent at even ``i``, the change at odd ``i``.  ``--workload`` repeats.
+``src``, for the ``run_seconds`` that the change checkout's
+``BENCHMARK.json`` fixes.  Pair ``i`` of a workload uses seed
+``first_seed + i`` (the next workload's seeds follow on), and the side that
+runs first alternates: the parent at even ``i``, the change at odd ``i``.
+``--workload`` repeats.
 
-The output holds, per workload:
+The output holds the machine (CPU count, Python and numpy versions), each
+side's commit and ``src`` digest, and per workload:
 
 * ``records``: the run records ``bench/run.py`` wrote to ``bench/runs/``,
   unchanged, per side in pair order;
-* ``summary``: for each end-to-end metric, the quartiles of each side and the
-  number of pairs in which the change read lower (and equal); the failed and
-  attempted operation counts per side; whether ``objective_sum`` is equal
-  seed by seed;
+* ``summary``: for each end-to-end metric, the median and quartiles of each
+  side (``statistics.quantiles(values, n=4)``, as ``bench/spread.py`` takes
+  them) and the number of pairs in which the change read lower (and equal);
+  the failed and attempted operation counts per side; whether
+  ``objective_sum`` is equal seed by seed;
 * ``seconds_by_kind`` (workloads that record it, such as ``combinatorial``):
   per kind of solve, the median over each run's passes, summarised the same
   way, so a change to one solver is judged on its own seconds.
-
-A ``--claim workload:metric`` adds the pairs won and the median change set
-against the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -60,7 +62,7 @@ def _src_digest(root: Path) -> str:
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run from ``root``; returns the record it wrote."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
@@ -69,8 +71,8 @@ def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _quartiles(values) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
-    return {"q1": q1, "median": median, "q3": q3, "iqr": q3 - q1}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"q1": q1, "median": statistics.median(values), "q3": q3, "iqr": q3 - q1}
 
 
 def _compare(parent, change) -> dict:
@@ -100,7 +102,7 @@ def summarize(records: dict) -> dict:
         metric("parent", "objective_sum") == metric("change", "objective_sum"))
     if all("seconds_by_kind" in r for side in SIDES for r in records[side]):
         def kind_medians(side, kind):
-            return [float(np.median([p[kind] for p in r["seconds_by_kind"]]))
+            return [statistics.median(p[kind] for p in r["seconds_by_kind"])
                     for r in records[side]]
 
         kinds = records["parent"][0]["seconds_by_kind"][0]
@@ -111,18 +113,6 @@ def summarize(records: dict) -> dict:
     return summary
 
 
-def claim(summary: dict, metric: str) -> dict:
-    """Pairs won and the median change against the parent's spread."""
-    s = summary[metric]
-    return {
-        "metric": metric,
-        "change_lower_in_pairs": s["change_lower_in_pairs"],
-        "median_change_minus_parent": s["change"]["median"] - s["parent"]["median"],
-        "median_relative_change": s["change"]["median"] / s["parent"]["median"] - 1.0,
-        "parent_iqr": s["parent"]["iqr"],
-    }
-
-
 def _parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -130,10 +120,6 @@ def _parse_args(argv):
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", action="append", default=[],
-                        help="workload:metric, such as combinatorial:solve_s")
-    parser.add_argument("--about", default="", help="free text prepended to the file's note")
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
 
@@ -141,18 +127,14 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    claims = [spec.split(":", 1) for spec in args.claim]
+    seconds = json.loads((roots["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     out = {
-        "about": (
-            f"{args.about} Alternating parent/change pairs of `python3 bench/run.py "
-            f"--workload <w> --seed <s> --seconds {args.seconds:g} --trace 0`, run from the "
-            "root of each checkout by tools/bench_pairs.py; the parent runs first in even "
-            "pairs, the change in odd ones.  `records` are the run records bench/run.py "
-            "wrote, unchanged; `summary` gives quartiles per side and the pairs in which "
-            "the change read lower."
-        ).strip(),
-        "parent_commit": _commit(roots["parent"]),
-        "change_commit": _commit(roots["change"]),
+        "command": (f"python3 bench/run.py --workload <w> --seed <s> --seconds {seconds:g} "
+                    "--trace 0, from the root of each checkout; the parent runs first "
+                    "in even pairs, the change in odd ones"),
+        "machine": {"cpu_count": os.cpu_count(), "python": sys.version,
+                    "numpy": np.__version__},
+        "commit": {side: _commit(root) for side, root in roots.items()},
         "src_sha256": {side: _src_digest(root) for side, root in roots.items()},
         "seeds": {},
         "workloads": {},
@@ -164,17 +146,11 @@ def main(argv=None) -> int:
         records = {side: [] for side in SIDES}
         for i, s in enumerate(seeds):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                records[side].append(_run(roots[side], workload, s, args.seconds))
+                records[side].append(_run(roots[side], workload, s, seconds))
                 print(f"{workload} seed {s} {side}: solve_s "
                       f"{records[side][-1]['metrics']['solve_s']['value']:.4f}", flush=True)
-        summary = summarize(records)
         out["seeds"][workload] = seeds
-        out["workloads"][workload] = {"summary": summary, "records": records}
-    out["claims"] = [
-        {"workload": workload, "pairs": args.pairs,
-         **claim(out["workloads"][workload]["summary"], metric)}
-        for workload, metric in claims if workload in out["workloads"]
-    ]
+        out["workloads"][workload] = {"summary": summarize(records), "records": records}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

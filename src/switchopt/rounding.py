@@ -22,6 +22,7 @@ All tie-breaks are lowest-index-first so results are deterministic.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
 from operator import add
 from typing import Optional
@@ -148,27 +149,37 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
     per-group cost columns already take the memory a full table would.
     """
     n_intervals = costs.shape[0]
+    # preds has the narrowest signed type holding every state and -1; its
+    # writes copy from sources cast once to that type, while row is gathered
+    # with the intp sources (a narrow index array gathers more slowly).
+    pred_type = np.min_scalar_type(-automaton.n_states)
     groups = [
-        (targets, sources, np.arange(len(targets)), costs[:, values, None])
+        (targets, sources, sources.astype(pred_type), np.arange(len(targets)),
+         costs[:, values, None])
         for targets, values, sources in automaton.predecessor_groups()
     ]
     row = np.full(automaton.n_states, np.inf)
     row[automaton.initial_state] = costs[0]
-    preds = np.full((n_intervals, automaton.n_states), -1, dtype=np.int64)
+    preds = np.full((n_intervals, automaton.n_states), -1, dtype=pred_type)
     for k in range(1, n_intervals):
         new_row = np.full(automaton.n_states, np.inf)
         new_pred = preds[k]
-        for targets, sources, rows, target_costs in groups:
+        for targets, sources, pred_sources, rows, target_costs in groups:
             cand = row[sources] + target_costs[k]
+            if sources.shape[1] == 1:
+                # One candidate per target: nothing to compare.
+                new_row[targets] = cand[:, 0]
+                new_pred[targets] = pred_sources[:, 0]
+                continue
             j = cand.argmin(axis=1)
             new_row[targets] = cand[rows, j]
-            new_pred[targets] = sources[rows, j]
+            new_pred[targets] = pred_sources[rows, j]
         row = new_row
     s = int(np.argmin(row))
     sequence = np.empty(n_intervals, dtype=np.int64)
     for k in range(n_intervals - 1, -1, -1):
         sequence[k] = automaton.values[s]
-        s = preds[k, s]
+        s = int(preds[k, s])
     return sequence
 
 
@@ -296,12 +307,13 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     # Python floats (the same IEEE operations, without numpy scalars).
     steps = ((w.values[:, None, :] - np.eye(m)) * h).tolist()
 
-    # Node storage: parents[i] = (parent index, mode at this node's interval).
-    # Heap keys (bound, -depth, node id, state, gamma) are unique, so the pop
-    # order does not depend on where a key is stored: the least child of the
-    # last expansion is held out of the heap, and ``heappushpop`` returns it
-    # untouched whenever it is below ``heap[0]``.
-    parents = []
+    # Node storage: origin[i] = parent id * m + mode at node i's interval,
+    # one machine integer per node (a root's parent id is -1, so divmod by m
+    # decodes every node).  Heap keys (bound, -depth, node id, state, gamma)
+    # are unique, so the pop order does not depend on where a key is stored:
+    # the least child of the last expansion is held out of the heap, and
+    # ``heappushpop`` returns it untouched whenever it is below ``heap[0]``.
+    origin = array("q")
     heap = []
     held = None
     incumbent = None  # (deviation, node index)
@@ -310,9 +322,8 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
     def reconstruct(node_id):
         seq = []
         while node_id >= 0:
-            parent, mode = parents[node_id]
+            node_id, mode = divmod(origin[node_id], m)
             seq.append(mode)
-            node_id = parent
         seq.reverse()
         out = np.zeros((n, m))
         out[np.arange(n), np.array(seq, dtype=np.int64)] = 1.0
@@ -320,7 +331,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
 
     for mode in range(m):
         gamma = tuple(steps[0][mode])
-        parents.append((-1, mode))
+        origin.append(mode - m)
         heap.append((max(map(abs, gamma)), 0, mode, int(automaton.initial_state[mode]), gamma))
     heapq.heapify(heap)
 
@@ -335,16 +346,18 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             best_leaf = (bound, node_id)
             break
         k = depth + 1
+        neg_k = -k
+        base = node_id * m
         step_k = steps[k]
         for new_mode, new_state in successors[state]:
             new_gamma = tuple(map(add, gamma, step_k[new_mode]))
             new_bound = max(bound, max(map(abs, new_gamma)))
             if incumbent is not None and new_bound >= incumbent[0]:
                 continue
-            child = (new_bound, -k, len(parents), new_state, new_gamma)
+            child = (new_bound, neg_k, len(origin), new_state, new_gamma)
             if k == n - 1:
                 incumbent = (new_bound, child[2])
-            parents.append((node_id, new_mode))
+            origin.append(base + new_mode)
             # Siblings share a depth and ids ascend: only a lower bound is less.
             if held is None or new_bound < held[0]:
                 held, child = child, held
@@ -363,8 +376,8 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
             for k in range(-neg_depth + 1, n):
                 gamma = tuple(map(add, gamma, steps[k][mode]))
                 bound = max(bound, max(map(abs, gamma)))
-                parents.append((node_id, mode))
-                node_id = len(parents) - 1
+                origin.append(node_id * m + mode)
+                node_id = len(origin) - 1
             incumbent = (bound, node_id)
         best_leaf = incumbent
 

@@ -3,6 +3,7 @@ import functools
 import heapq
 import itertools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -517,6 +518,31 @@ class TestDwellDp:
                 walk([val], automaton.initial_state[val])
             assert walked == all_feasible_sequences(n, n_values, d, dmax, budget)
 
+    # State counts on each side of the int8/int16 and int16/int32 limits.
+    @pytest.mark.parametrize("d, budget, n_states, pred_type", [
+        (4, 7, 128, np.int8), (4, 8, 144, np.int16),
+        (8, 1023, 32_768, np.int16), (8, 1024, 32_800, np.int32),
+    ])
+    def test_predecessor_table_type_at_width_limits(self, monkeypatch, d, budget,
+                                                    n_states, pred_type):
+        automaton = _DwellAutomaton(2, d, None, budget)
+        assert automaton.n_states == n_states
+        costs = np.random.default_rng(budget).random((12, 2))
+        tables = []
+        full = np.full
+
+        def recording_full(shape, *args, **kwargs):
+            out = full(shape, *args, **kwargs)
+            if out.ndim == 2:
+                tables.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(np, "full", recording_full)
+        got = _solve_dwell_dp(costs, automaton)
+        monkeypatch.undo()
+        assert tables == [np.dtype(pred_type)]
+        assert got.tolist() == reference_dwell_dp(costs, automaton).tolist()
+
     @pytest.mark.parametrize("n_values", range(1, 7))
     def test_table_matches_per_state_construction(self, n_values):
         for d in range(1, 7):
@@ -736,6 +762,25 @@ class TestConstrainedCiap:
         res = so.constrained_ciap(w, spec, g, max_nodes=max_nodes)
         path = "".join(str(mode) for mode in res.control.selected_modes())
         assert (res.deviation, res.nodes_explored, res.proven_optimal, path) == want
+
+    def test_node_store_peak_memory_below_reference(self):
+        # The benchmark's budgeted instance pushes no leaf, so the tree only
+        # grows; the flat node store must stay well below the reference's
+        # list of (parent, mode) tuples.
+        g = so.TimeGrid(0.0, 1.0, 60)
+        w = so.RelaxedControlPath(g, np.random.default_rng(7).dirichlet(np.full(4, 0.5), size=60))
+        spec = so.CombinatorialSpec.uniform(1, 3, max_switches=8, representation=so.MODEWISE)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for solve in (so.constrained_ciap, reference_ciap):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                solve(w, spec, g, max_nodes=20_000)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= 0.75 * peaks[1], peaks
 
     def test_matches_reference_loop(self):
         # Each instance is solved to its end, then stopped at three budgets

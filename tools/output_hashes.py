@@ -26,6 +26,9 @@ Covered outputs:
   d=3, at 1,000 of its 2,550 nodes.
 * the benchmark's budgeted ``constrained_ciap`` instance (4 modes, N=60,
   d=3, budget 8) at its 100,000-node budget, which pushes no leaf.
+* a modewise ``dwell_project_weighted`` instance (4 modes, N=200, d=4,
+  budget 2048) whose automaton has 65,568 states, more than an int16
+  predecessor table can index, and whose path reaches states past 32,767.
 
 Lines are only ever appended, so two checkouts of different ages can be
 compared on the lines both print.
@@ -156,6 +159,7 @@ def _library_lines():
     yield from _unscoped_solve_lines()
     yield from _budgeted_oracle_lines()
     yield _budgeted_ciap_line()
+    yield _wide_dwell_line()
 
 
 def _result_digest(res) -> str:
@@ -216,6 +220,15 @@ def _budgeted_ciap_line():
     return ("constrained_ciap 4 modes N=60 d=3 budget=8 max_nodes=100000",
             _digest(res.control.values.tobytes(), res.deviation, res.nodes_explored,
                     res.proven_optimal))
+
+
+def _wide_dwell_line():
+    grid, w = _multipliers(np.random.default_rng(22), 200, 4)
+    spec = switchopt.CombinatorialSpec.uniform(
+        1, 4, max_switches=2048, representation=switchopt.MODEWISE)
+    out = switchopt.dwell_project_weighted(w, switchopt.enumerate_modes(2), spec, grid)
+    return ("dwell_project_weighted 2 switches N=200 d=4 budget=2048 modewise",
+            _digest(out.values.tobytes()))
 
 
 def _small_controlled_translines():

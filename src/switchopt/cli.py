@@ -216,10 +216,8 @@ def _execute(config: RunConfig, schedule: PenaltySchedule, system, grid, spec):
                         "stationarity": sol.stationarity}
     if config.method == "oracle":
         res = global_oracle(system, grid, spec)
-        u_values = (
-            np.zeros((grid.n_intervals, 0)) if res.best_u is None else res.best_u
-        )
-        u = ContinuousControlPath(grid, u_values, system.control_lower, system.control_upper)
+        u = (ContinuousControlPath.empty(grid) if res.best_u is None else
+             ContinuousControlPath(grid, res.best_u, system.control_lower, system.control_upper))
         result = _integer_result(
             system, grid, spec, u, binary_to_onehot(res.best_control, system.modes),
             method="oracle", converged=res.proven_optimal,
@@ -354,7 +352,6 @@ def run(config: RunConfig) -> dict:
         wall = time.perf_counter() - started
         record = _record(config, None, wall, None, error=f"infeasible: {exc}")
         (out_dir / f"{label}_result.json").write_text(json.dumps(record, indent=1))
-        record["_exit_code"] = 3
         return record
     wall = time.perf_counter() - started
     files = _store_outputs(system, grid, result, payload, out_dir, label)

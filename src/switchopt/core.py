@@ -137,6 +137,12 @@ def _check_grid(path_grid: TimeGrid, grid: TimeGrid, what: str):
         raise DimensionError(f"{what} lives on a different time grid")
 
 
+def _check_width(spec: "CombinatorialSpec", n: int, what: str):
+    """A componentwise spec needs one component per switch; a modewise one fits any width."""
+    if spec.representation == COMPONENTWISE and spec.n_components != n:
+        raise DimensionError(f"spec has {spec.n_components} components, {what} has {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryControlPath:
     """Piecewise-constant binary switching signal, one row per interval."""
@@ -482,12 +488,9 @@ def check_feasible(
     and its mode-indicator path give the same report.
     """
     _check_grid(v.grid, grid, "v")
+    _check_width(spec, v.n_components, "path")
     violations = []
     if spec.representation == COMPONENTWISE:
-        if v.n_components != spec.n_components:
-            raise DimensionError(
-                f"path has {v.n_components} components, spec has {spec.n_components}"
-            )
         for c in range(spec.n_components):
             violations.extend(_run_violations(v.values[:, c], c, *spec.component(c)))
     else:
@@ -502,10 +505,8 @@ def binary_to_onehot(v: BinaryControlPath, modes: ModeTable) -> RelaxedControlPa
         raise DimensionError(
             f"path has {v.n_components} components, modes have {modes.n_switches}"
         )
-    out = np.zeros((v.grid.n_intervals, modes.n_modes))
-    for k, row in enumerate(v.values):
-        out[k, modes.index_of(row)] = 1.0
-    return RelaxedControlPath(v.grid, out)
+    selected = [modes.index_of(row) for row in v.values]
+    return RelaxedControlPath(v.grid, np.eye(modes.n_modes)[selected])
 
 
 def onehot_to_binary(w_onehot: RelaxedControlPath, modes: ModeTable) -> BinaryControlPath:

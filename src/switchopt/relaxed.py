@@ -104,7 +104,7 @@ class _PenalizedProblem:
         self.hold_w = hold_w
 
     def value(self, u_values, w_values):
-        states = _integrate_values(self.system, self.grid, u_values, w_values)
+        states, _ = _integrate_values(self.system, self.grid, u_values, w_values)
         return _penalized_value(self.system, states, w_values, self.pen)
 
     def value_and_gradient(self, u_values, w_values):

@@ -38,6 +38,7 @@ from .core import (
     RelaxedControlPath,
     TimeGrid,
     _check_grid,
+    _check_width,
     _is_int,
 )
 from .errors import CapacityError, DimensionError, InfeasibleError
@@ -207,11 +208,8 @@ def dwell_project(v: BinaryControlPath, spec: CombinatorialSpec,
     attains the global minimum of the projection cost.
     """
     _check_grid(v.grid, grid, "v")
+    _check_width(spec, v.n_components, "path")
     if spec.representation == COMPONENTWISE:
-        if v.n_components != spec.n_components:
-            raise DimensionError(
-                f"path has {v.n_components} components, spec has {spec.n_components}"
-            )
         return BinaryControlPath(grid, _project_bits(v.values, spec, grid.step))
     if not ((v.values == 1).sum(axis=1) == 1).all():
         raise DimensionError("modewise projection needs one-hot rows")
@@ -230,13 +228,9 @@ def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
     _check_grid(w.grid, grid, "w")
     if w.n_modes != modes.n_modes:
         raise DimensionError("w columns do not match the mode table")
+    _check_width(spec, modes.n_switches, "mode table")
     h = grid.step
     if spec.representation == COMPONENTWISE:
-        if spec.n_components != modes.n_switches:
-            raise DimensionError(
-                f"spec has {spec.n_components} components, modes have "
-                f"{modes.n_switches}"
-            )
         marginals = w.values @ modes.values.astype(np.float64)  # (N, M)
         return BinaryControlPath(grid, _project_bits(marginals, spec, h))
     pairwise = np.abs(
@@ -324,10 +318,7 @@ def constrained_ciap(w: RelaxedControlPath, spec: CombinatorialSpec,
         while node_id >= 0:
             node_id, mode = divmod(origin[node_id], m)
             seq.append(mode)
-        seq.reverse()
-        out = np.zeros((n, m))
-        out[np.arange(n), np.array(seq, dtype=np.int64)] = 1.0
-        return out
+        return np.eye(m)[seq[::-1]]
 
     for mode in range(m):
         gamma = tuple(steps[0][mode])
@@ -436,24 +427,17 @@ def global_oracle(system: SwitchedSystem, grid_coarse: TimeGrid,
         )
     modes = system.modes
     m = modes.n_modes
-    # One automaton per constrained component, and each mode's value in each:
-    # the mode index for a modewise spec, the switch bits for a componentwise one.
+    _check_width(spec, modes.n_switches, "mode table")
+    # (automaton, each mode's value in it) per constrained component: the
+    # mode index for a modewise spec, one switch's bits per componentwise one.
     if spec.representation == MODEWISE:
-        automata = (_DwellAutomaton(m, *spec.component(0)),)
-        mode_values = np.arange(m)[:, None]
-    elif spec.n_components != modes.n_switches:
-        raise DimensionError("componentwise spec does not match the mode table")
+        locks = [(_DwellAutomaton(m, *spec.component(0)), np.arange(m))]
     else:
-        automata = tuple(
-            _DwellAutomaton(2, *spec.component(c))
-            for c in range(spec.n_components)
-        )
-        mode_values = modes.values
+        locks = [(_DwellAutomaton(2, *spec.component(c)), modes.values[:, c])
+                 for c in range(spec.n_components)]
     # tables[c][s, mode]: automaton c's successor of state s on that mode's value.
-    tables = [a.next_state[:, mode_values[:, c]] for c, a in enumerate(automata)]
-    initial = np.column_stack(
-        [a.initial_state[mode_values[:, c]] for c, a in enumerate(automata)]
-    )
+    tables = [a.next_state[:, values] for a, values in locks]
+    initial = np.column_stack([a.initial_state[values] for a, values in locks])
 
     def expand(states):
         """(parent row, mode, joint state) of each child of (B, C) joint

@@ -18,9 +18,10 @@ to per-interval 2-D products, which ``np.einsum`` is not).  The coupling
 penalty is one linear table, ``_penalty_weights``, and every penalized value
 is ``_penalized_value``.
 
-Inside a ``_sweep_memo`` scope, which ``adm.adm_penalty``, ``cli.run`` and
-the relaxed solver's loop enter, ``_integrate_values`` keeps its few most
-recent forward sweeps (node states and stage records) and replays one when
+A forward sweep returns its record: the node states and each interval's
+stage states and fields.  Inside a ``_sweep_memo`` scope, which
+``adm.adm_penalty``, ``cli.run`` and the relaxed solver's loop enter,
+``_integrate_values`` keeps its few most recent records and replays one when
 it is called again with the same system and grid objects and the same
 control bytes.  The gradient at an accepted line-search trial replays that
 trial's sweep; the ADM loop re-evaluates points the relaxed solve has just
@@ -239,7 +240,7 @@ def _combine_rows(w: np.ndarray, fields: np.ndarray) -> np.ndarray:
 #: Forward sweeps a memo keeps.
 _MEMO_ENTRIES = 4
 
-# The active memo: a list of (system, grid, key, states, stages) entries,
+# The active memo: a list of (system, grid, key, (states, stages)) entries,
 # least recently used first, or None outside every ``_sweep_memo`` scope.
 _memo: contextvars.ContextVar = contextvars.ContextVar("switchopt_sweep_memo", default=None)
 
@@ -268,17 +269,17 @@ def _array_key(a: np.ndarray) -> tuple:
 
 
 def _integrate_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                      w_values: np.ndarray, stages: Optional[list] = None) -> np.ndarray:
-    """Forward sweep on raw arrays; returns (N+1, n_y) node states.
+                      w_values: np.ndarray) -> tuple:
+    """Forward sweep on raw arrays; returns its record (states, stages).
 
-    When ``stages`` is a list, each interval's (stage states, stage fields)
-    pair from ``_step`` is appended to it.  Inside a ``_sweep_memo`` scope a
-    repeated call returns the recorded, read-only arrays of the first; a
-    sweep that diverges is not recorded.
+    ``states`` holds the (N+1, n_y) node states and ``stages`` each
+    interval's (stage states, stage fields) pair from ``_step``.  Inside a
+    ``_sweep_memo`` scope a repeated call returns the first call's record
+    itself, with read-only states; a sweep that diverges is not recorded.
     """
     memo = _memo.get()
     if memo is None:
-        return _forward_sweep(system, grid, u_values, w_values, stages)
+        return _forward_sweep(system, grid, u_values, w_values)
     # System and grid by identity: an entry holds both, so neither can be
     # collected and its id reused, and equal grid ends of another number
     # type would step differently.
@@ -286,27 +287,23 @@ def _integrate_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarr
     for i, entry in enumerate(memo):
         if entry[0] is system and entry[1] is grid and entry[2] == key:
             memo.append(memo.pop(i))
-            break
-    else:
-        recorded = []
-        states = _forward_sweep(system, grid, u_values, w_values, recorded)
-        states.flags.writeable = False
-        entry = (system, grid, key, states, recorded)
-        memo.append(entry)
-        if len(memo) > _MEMO_ENTRIES:
-            del memo[0]
-    if stages is not None:
-        stages.extend(entry[4])
-    return entry[3]
+            return entry[3]
+    record = _forward_sweep(system, grid, u_values, w_values)
+    record[0].flags.writeable = False
+    memo.append((system, grid, key, record))
+    if len(memo) > _MEMO_ENTRIES:
+        del memo[0]
+    return record
 
 
 def _forward_sweep(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
-                   w_values: np.ndarray, stages: Optional[list]) -> np.ndarray:
+                   w_values: np.ndarray) -> tuple:
     """The sweep behind ``_integrate_values``, never memoized."""
     n = grid.n_intervals
     h = grid.step
     states = np.empty((n + 1, system.state_dim))
     states[0] = system.initial_state
+    stages = []
     y = system.initial_state.copy()
     for k in range(n):
         t = grid.t_start + k * h
@@ -315,10 +312,9 @@ def _forward_sweep(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
             raise DivergenceError(
                 f"non-finite state after interval {k}", interval=k
             )
-        if stages is not None:
-            stages.append((stage_states, stage_fields))
+        stages.append((stage_states, stage_fields))
         states[k + 1] = y
-    return states
+    return states, tuple(stages)
 
 
 def integrate(system: SwitchedSystem, grid: TimeGrid, u: ContinuousControlPath,
@@ -329,7 +325,7 @@ def integrate(system: SwitchedSystem, grid: TimeGrid, u: ContinuousControlPath,
     exactly, since partial outer convexification is exact on vertices.
     """
     _check_control_shapes(system, grid, u, w)
-    return Trajectory(grid, _integrate_values(system, grid, u.values, w.values))
+    return Trajectory(grid, _integrate_values(system, grid, u.values, w.values)[0])
 
 
 def objective(system: SwitchedSystem, trajectory: Trajectory) -> float:
@@ -393,8 +389,7 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
     """
     n = grid.n_intervals
     h = grid.step
-    stages = []
-    states = _integrate_values(system, grid, u_values, w_values, stages)
+    states, stages = _integrate_values(system, grid, u_values, w_values)
     value = _penalized_value(system, states, w_values, pen)
     grad_u = np.zeros_like(u_values)
 

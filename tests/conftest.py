@@ -113,9 +113,9 @@ def record_sweep_points(monkeypatch):
     asked = []
 
     def recording(integrate_values):
-        def call(system, grid, u_values, w_values, stages=None):
+        def call(system, grid, u_values, w_values):
             asked.append((u_values.tobytes(), w_values.tobytes()))
-            return integrate_values(system, grid, u_values, w_values, stages)
+            return integrate_values(system, grid, u_values, w_values)
 
         return call
 

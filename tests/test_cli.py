@@ -72,7 +72,6 @@ class TestRun:
         monkeypatch.setattr(cli, "_execute", explode)
         record = cli.run(run_config(tmp_path))
         assert record["error"] == "infeasible: synthetic"
-        assert record["_exit_code"] == 3
         stored = json.loads((tmp_path / "fuller_sur_result.json").read_text())
         assert stored["objective"] is None
         code = cli.main([

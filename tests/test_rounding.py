@@ -1171,6 +1171,10 @@ _UNIFORM4 = so.RelaxedControlPath.uniform(_GRID4, 4)
     pytest.param(lambda: so.dwell_project_weighted(_UNIFORM4, so.enumerate_modes(1),
                                                    so.CombinatorialSpec((2,)), _GRID4),
                  id="weighted-mode-columns"),
+    pytest.param(lambda: so.dwell_project_weighted(so.RelaxedControlPath.uniform(_GRID4, 2),
+                                                   so.enumerate_modes(1),
+                                                   so.CombinatorialSpec((2, 2)), _GRID4),
+                 id="weighted-spec-width"),
     pytest.param(lambda: so.constrained_ciap(_UNIFORM4, so.CombinatorialSpec((2, 2)), _GRID4),
                  id="ciap-componentwise"),
     pytest.param(lambda: so.global_oracle(make_zero_system(), _GRID4,

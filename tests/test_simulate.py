@@ -262,7 +262,7 @@ def central_difference_gradient(system, grid, u_values, w_values, vt, rho, step=
     pen = rho * grid.step * so.mode_deviation_costs(system.modes, vt)
 
     def value(u_arr, w_arr):
-        states = _integrate_values(system, grid, u_arr, w_arr)
+        states, _ = _integrate_values(system, grid, u_arr, w_arr)
         return float(system.terminal_cost(states[-1])) + float((w_arr * pen).sum())
 
     grad_u = np.zeros_like(u_values)
@@ -371,8 +371,7 @@ def reference_adjoint_values(system, grid, u_values, w_values, penalty_grad_w):
     """
     n = grid.n_intervals
     h = grid.step
-    stages = []
-    states = _integrate_values(system, grid, u_values, w_values, stages)
+    states, stages = _integrate_values(system, grid, u_values, w_values)
     value = float(system.terminal_cost(states[-1]))
     grad_u = np.zeros_like(u_values)
     grad_w = np.zeros_like(w_values)
@@ -464,21 +463,21 @@ class TestSystemContract:
     def test_forward_states_bitwise_on_onehot_rows(self, case):
         system, per_mode, grid, u, _, onehot = case
         assert np.array_equal(
-            _integrate_values(system, grid, u, onehot),
-            _integrate_values(per_mode, grid, u, onehot),
+            _integrate_values(system, grid, u, onehot)[0],
+            _integrate_values(per_mode, grid, u, onehot)[0],
         )
 
     def test_forward_states_on_fractional_rows(self, case):
         system, per_mode, grid, u, w, _ = case
         assert relative_error(
-            _integrate_values(per_mode, grid, u, w),
-            _integrate_values(system, grid, u, w),
+            _integrate_values(per_mode, grid, u, w)[0],
+            _integrate_values(system, grid, u, w)[0],
         ) <= 1e-13
 
     @pytest.mark.parametrize("hook", ["combined_jac_state", "combined_jac_control"])
     def test_combined_jacobians(self, case, hook):
         system, per_mode, grid, u, w, onehot = case
-        states = _integrate_values(system, grid, u, w)
+        states, _ = _integrate_values(system, grid, u, w)
         for k in range(grid.n_intervals):
             t, y = grid.node(k), states[k]
             for rows, exact in ((onehot, True), (w, False)):
@@ -573,18 +572,20 @@ class TestSweepMemo:
         system, grid, _ = fuller_50
         system, counts = counted_system(system)
         u, w = np.zeros((grid.n_intervals, 0)), self.onehot(grid)
-        ref_stages = []
-        ref = _integrate_values(system, grid, u, w, ref_stages)
+        ref, ref_stages = _integrate_values(system, grid, u, w)
         with _sweep_memo():
-            first = _integrate_values(system, grid, u, w)
+            first, first_stages = _integrate_values(system, grid, u, w)
             assert not first.flags.writeable  # recorded arrays are shared
             with _sweep_memo():  # a nested scope shares the memo
                 assert simulate._memo.get() is not None
                 traj = so.integrate(system, grid, so.ContinuousControlPath.empty(grid),
                                     so.RelaxedControlPath(grid, w.copy()))
-            stages = []
-            states = _integrate_values(system, grid, u, w, stages)
+            states, stages = _integrate_values(system, grid, u, w)
             assert len(simulate._memo.get()) == 1
+        # A replay is the recorded pair itself, and its stages are a tuple,
+        # so no caller can append to the memo's record.
+        assert states is first and stages is first_stages
+        assert isinstance(stages, tuple)
         assert simulate._memo.get() is None
         assert counts["rhs_stack"] == 2 * 4 * grid.n_intervals  # ref, then first
         for replay in (first, traj.states, states):

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .adm import (
     AdmOptions,
@@ -161,6 +160,8 @@ def _load_problem(config: RunConfig):
 
 
 def _read_yaml(path: str, what: str):
+    import yaml  # only runs that read YAML pay for its import
+
     try:
         return yaml.safe_load(Path(path).read_text())
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:

@@ -143,6 +143,14 @@ def _check_width(spec: "CombinatorialSpec", n: int, what: str):
         raise DimensionError(f"spec has {spec.n_components} components, {what} has {n}")
 
 
+def _check_table_width(path, modes: ModeTable):
+    """A binary path has one column per switch of the mode table, a multiplier
+    path one column per mode."""
+    want = modes.n_switches if isinstance(path, BinaryControlPath) else modes.n_modes
+    if path.values.shape[1] != want:
+        raise DimensionError(f"path has {path.values.shape[1]} columns, mode table needs {want}")
+
+
 @dataclass(frozen=True, eq=False)
 class BinaryControlPath:
     """Piecewise-constant binary switching signal, one row per interval."""
@@ -501,20 +509,14 @@ def check_feasible(
 
 def binary_to_onehot(v: BinaryControlPath, modes: ModeTable) -> RelaxedControlPath:
     """One-hot multiplier path selecting each row's mode-table index."""
-    if v.n_components != modes.n_switches:
-        raise DimensionError(
-            f"path has {v.n_components} components, modes have {modes.n_switches}"
-        )
+    _check_table_width(v, modes)
     selected = [modes.index_of(row) for row in v.values]
     return RelaxedControlPath(v.grid, np.eye(modes.n_modes)[selected])
 
 
 def onehot_to_binary(w_onehot: RelaxedControlPath, modes: ModeTable) -> BinaryControlPath:
     """Binary path applying the configuration selected by each one-hot row."""
-    if w_onehot.n_modes != modes.n_modes:
-        raise DimensionError(
-            f"path has {w_onehot.n_modes} mode columns, table has {modes.n_modes}"
-        )
+    _check_table_width(w_onehot, modes)
     selected = w_onehot.selected_modes()
     return BinaryControlPath(w_onehot.grid, modes.values[selected])
 
@@ -525,11 +527,7 @@ def mode_deviation_costs(modes: ModeTable, v_tilde: BinaryControlPath) -> np.nda
     Entry (k, i) is |r^i - v_tilde_k|_1; this is the kernel of the penalty
     coupling between relaxed multipliers and the projected binary iterate.
     """
-    if modes.n_switches != v_tilde.n_components:
-        raise DimensionError(
-            f"modes have {modes.n_switches} switches, path has "
-            f"{v_tilde.n_components} components"
-        )
+    _check_table_width(v_tilde, modes)
     # (N, M̃): broadcast |r^i - ṽ_k| over modes and intervals, summed over switches.
     return (
         np.abs(modes.values[None, :, :] - v_tilde.values[:, None, :])

@@ -38,6 +38,7 @@ from .core import (
     RelaxedControlPath,
     TimeGrid,
     _check_grid,
+    _check_table_width,
     _check_width,
     _is_int,
 )
@@ -60,16 +61,13 @@ def sum_up_rounding(w: RelaxedControlPath, grid: TimeGrid) -> RelaxedControlPath
     (n_modes - 1) times the step.
     """
     _check_grid(w.grid, grid, "w")
-    values = w.values
-    n, m = values.shape
-    chosen = np.zeros((n, m))
-    gap = np.zeros(m)
-    for k in range(n):
-        gap += values[k]
-        pick = int(np.argmax(gap))
-        chosen[k, pick] = 1.0
-        gap[pick] -= 1.0
-    return RelaxedControlPath(grid, chosen)
+    gap = np.zeros(w.n_modes)
+    picks = []
+    for row in w.values:
+        gap += row
+        picks.append(int(np.argmax(gap)))
+        gap[picks[-1]] -= 1.0
+    return RelaxedControlPath(grid, np.eye(w.n_modes)[picks])
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +144,8 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
     and the first least one is kept, which is what a scan with strict
     improvement keeps (the sums come before the min because fl(base + c) can
     tie for distinct bases); the walk back starts from the lowest-index
-    terminal state of least cost.  Only the current row is kept: the
-    per-group cost columns already take the memory a full table would.
+    terminal state of least cost.  Only the current row is kept, and each
+    group gathers its targets' costs from the current interval's row.
     """
     n_intervals = costs.shape[0]
     # preds has the narrowest signed type holding every state and -1; its
@@ -156,7 +154,7 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
     pred_type = np.min_scalar_type(-automaton.n_states)
     groups = [
         (targets, sources, sources.astype(pred_type), np.arange(len(targets)),
-         costs[:, values, None])
+         values[:, None])
         for targets, values, sources in automaton.predecessor_groups()
     ]
     row = np.full(automaton.n_states, np.inf)
@@ -165,8 +163,9 @@ def _solve_dwell_dp(costs: np.ndarray, automaton: _DwellAutomaton) -> np.ndarray
     for k in range(1, n_intervals):
         new_row = np.full(automaton.n_states, np.inf)
         new_pred = preds[k]
-        for targets, sources, pred_sources, rows, target_costs in groups:
-            cand = row[sources] + target_costs[k]
+        cost = costs[k]
+        for targets, sources, pred_sources, rows, target_values in groups:
+            cand = row[sources] + cost[target_values]
             if sources.shape[1] == 1:
                 # One candidate per target: nothing to compare.
                 new_row[targets] = cand[:, 0]
@@ -226,8 +225,7 @@ def dwell_project_weighted(w: RelaxedControlPath, modes: ModeTable,
     alternating method uses in both variants.
     """
     _check_grid(w.grid, grid, "w")
-    if w.n_modes != modes.n_modes:
-        raise DimensionError("w columns do not match the mode table")
+    _check_table_width(w, modes)
     _check_width(spec, modes.n_switches, "mode table")
     h = grid.step
     if spec.representation == COMPONENTWISE:

@@ -14,7 +14,10 @@ states and per-mode stage fields (N x stages x modes x n_y floats) and walks
 them backwards instead of recomputing them.  The reverse interval loop runs
 only the adjoint recursion and records each stage's weight; the w- and
 u-contractions run after it as stacked ``np.matmul`` products (bitwise equal
-to per-interval 2-D products, which ``np.einsum`` is not).  The coupling
+to per-interval 2-D products, which ``np.einsum`` is not).  The one-row
+products in the interval loops, ``np.dot(w_k, f)`` and ``np.dot(sb, J)``,
+make on contiguous arrays the BLAS call of ``np.matmul`` and ``J.T @ sb``,
+so they are bitwise those and skip their dispatch cost.  The coupling
 penalty is one linear table, ``_penalty_weights``, and every penalized value
 is ``_penalized_value``.
 
@@ -65,14 +68,15 @@ class SwitchedSystem:
     quadrature components so that the objective is ``terminal_cost`` at the
     final state only.
 
-    The stacked hooks are optional speed-ups returning float arrays.  Absent
-    ones are derived from the per-mode callables (``rhs_batch`` from
-    ``rhs_stack``, row by row); supplied ones must match them bitwise on
-    one-hot rows (up to the sign of zero).  ``rhs_batch`` evaluates
-    ``rhs_stack`` at each row of a (B, n_y) state array and a (B, m_u)
-    control array.  Derived hooks are stored in their fields, so a
-    ``dataclasses.replace`` copy with new per-mode callables must pass the
-    hooks as None to derive them again.
+    The stacked hooks are optional speed-ups returning contiguous float
+    arrays (on a strided one the sweeps' ``np.dot`` may differ from
+    ``np.matmul`` in the last bits).  Absent ones are derived from the
+    per-mode callables (``rhs_batch`` from ``rhs_stack``, row by row);
+    supplied ones must match them bitwise on one-hot rows (up to the sign of
+    zero).  ``rhs_batch`` evaluates ``rhs_stack`` at each row of a (B, n_y)
+    state array and a (B, m_u) control array.  Derived hooks are stored in
+    their fields, so a ``dataclasses.replace`` copy with new per-mode
+    callables must pass the hooks as None to derive them again.
     """
 
     state_dim: int
@@ -208,7 +212,7 @@ def _step(system: SwitchedSystem, t: float, y: np.ndarray, u_k: np.ndarray,
     step's.
     """
     if y.ndim == 1:
-        stack, combine = system.rhs_stack, np.matmul
+        stack, combine = system.rhs_stack, np.dot
     else:
         stack, combine = system.rhs_batch, _combine_rows
     if system.integrator == EULER:
@@ -308,10 +312,9 @@ def _forward_sweep(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray,
     for k in range(n):
         t = grid.t_start + k * h
         y, stage_states, stage_fields = _step(system, t, y, u_values[k], w_values[k], h)
-        if not np.isfinite(y).all():
-            raise DivergenceError(
-                f"non-finite state after interval {k}", interval=k
-            )
+        # all() over a list skips ndarray.all's Python-level wrapper.
+        if not all(np.isfinite(y).tolist()):
+            raise DivergenceError(f"non-finite state after interval {k}", interval=k)
         stages.append((stage_states, stage_fields))
         states[k + 1] = y
     return states, tuple(stages)
@@ -416,13 +419,13 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
             (y1, y2, y3, y4), _ = stages[k]
             t_mid, t_end = t + half_h, t + h
             sb[3] = sb4 = hb4 * lam
-            yb4 = jac_y(t_end, y4, uk, wk).T @ sb4
+            yb4 = np.dot(sb4, jac_y(t_end, y4, uk, wk))
             sb[2] = sb3 = hb3 * lam + h * yb4
-            yb3 = jac_y(t_mid, y3, uk, wk).T @ sb3
+            yb3 = np.dot(sb3, jac_y(t_mid, y3, uk, wk))
             sb[1] = sb2 = hb2 * lam + half_h * yb3
-            yb2 = jac_y(t_mid, y2, uk, wk).T @ sb2
+            yb2 = np.dot(sb2, jac_y(t_mid, y2, uk, wk))
             sb[0] = sb1 = hb1 * lam + half_h * yb2
-            yb1 = jac_y(t, y1, uk, wk).T @ sb1
+            yb1 = np.dot(sb1, jac_y(t, y1, uk, wk))
             if has_u:
                 ju = stage_jac_u[k]
                 ju[0] = jac_u(t, y1, uk, wk)
@@ -435,7 +438,7 @@ def _adjoint_values(system: SwitchedSystem, grid: TimeGrid, u_values: np.ndarray
             sb[0] = lam
             if has_u:
                 stage_jac_u[k, 0] = jac_u(t, y1, uk, wk)
-            lam = lam + h * (jac_y(t, y1, uk, wk).T @ lam)
+            lam = lam + h * np.dot(lam, jac_y(t, y1, uk, wk))
 
     # A stacked matmul runs the same per-item product as the 2-D one, so
     # these sums are bitwise those of the per-interval contractions;

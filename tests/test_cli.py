@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +287,18 @@ class TestSweepMemo:
             outputs.append([(out / record[key]).read_bytes()
                             for key in ("controls_file", "trajectory_file")])
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_import_leaves_yaml_unloaded():
+    # A run that reads no YAML file does not pay for importing the parser.
+    src = str(Path(so.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, switchopt.cli; print('yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestMain:

@@ -540,3 +540,21 @@ def _two_bit_onehot():
 def test_rejects_bad_input(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: so.binary_to_onehot(
+        so.BinaryControlPath.constant(grid(4), [0, 1]), so.enumerate_modes(1)),
+        "path has 2 columns, mode table needs 1", id="binary-to-onehot"),
+    pytest.param(lambda: so.onehot_to_binary(_two_bit_onehot(), so.enumerate_modes(1)),
+                 "path has 4 columns, mode table needs 2", id="onehot-to-binary"),
+    pytest.param(lambda: so.mode_deviation_costs(
+        so.enumerate_modes(1), so.BinaryControlPath.constant(grid(4), [0, 1])),
+        "path has 2 columns, mode table needs 1", id="deviation-costs"),
+    pytest.param(lambda: so.dwell_project_weighted(
+        _two_bit_onehot(), so.enumerate_modes(1), so.CombinatorialSpec((1,)), grid(4)),
+        "path has 4 columns, mode table needs 2", id="dwell-project-weighted"),
+])
+def test_path_against_mode_table_width_has_one_wording(call, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call()

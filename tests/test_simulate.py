@@ -363,15 +363,59 @@ class TestAdjointGradient:
         assert relative_gradient_error(gw, fd_w) <= 1e-5
 
 
-def reference_adjoint_values(system, grid, u_values, w_values, penalty_grad_w):
-    """Reverse sweep with the gradient contractions inside the interval loop.
+def reference_forward_sweep(system, grid, u_values, w_values):
+    """Forward sweep that combines the mode fields with ``np.matmul`` and
+    tests finiteness with ``np.isfinite(y).all()``.
 
-    The per-interval form the stacked contractions of ``_adjoint_values``
-    replace, kept as their bitwise reference.
+    The form ``_forward_sweep``'s ``np.dot`` combine replaces, kept as its
+    bitwise reference; returns the same (states, stages) record.
     """
     n = grid.n_intervals
     h = grid.step
-    states, stages = _integrate_values(system, grid, u_values, w_values)
+    states = np.empty((n + 1, system.state_dim))
+    states[0] = system.initial_state
+    stages = []
+    y = system.initial_state.copy()
+    for k in range(n):
+        t = grid.t_start + k * h
+        uk, wk = u_values[k], w_values[k]
+        f1 = system.rhs_stack(t, y, uk)
+        if system.integrator == EULER:
+            y_next, stage = y + h * np.matmul(wk, f1), ((y,), (f1,))
+        else:
+            half_h = 0.5 * h
+            t_mid = t + half_h
+            s1 = np.matmul(wk, f1)
+            y2 = y + half_h * s1
+            f2 = system.rhs_stack(t_mid, y2, uk)
+            s2 = np.matmul(wk, f2)
+            y3 = y + half_h * s2
+            f3 = system.rhs_stack(t_mid, y3, uk)
+            s3 = np.matmul(wk, f3)
+            y4 = y + h * s3
+            f4 = system.rhs_stack(t + h, y4, uk)
+            s4 = np.matmul(wk, f4)
+            y_next = y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            stage = ((y, y2, y3, y4), (f1, f2, f3, f4))
+        y = y_next
+        if not np.isfinite(y).all():
+            raise DivergenceError(f"non-finite state after interval {k}", interval=k)
+        stages.append(stage)
+        states[k + 1] = y
+    return states, tuple(stages)
+
+
+def reference_adjoint_values(system, grid, u_values, w_values, penalty_grad_w):
+    """Reverse sweep with ``J.T @ sb`` vector-Jacobian products and the
+    gradient contractions inside the interval loop, over its own
+    ``reference_forward_sweep``.
+
+    The per-interval form the ``np.dot`` products and stacked contractions
+    of ``_adjoint_values`` replace, kept as their bitwise reference.
+    """
+    n = grid.n_intervals
+    h = grid.step
+    states, stages = reference_forward_sweep(system, grid, u_values, w_values)
     value = float(system.terminal_cost(states[-1]))
     grad_u = np.zeros_like(u_values)
     grad_w = np.zeros_like(w_values)
@@ -439,6 +483,74 @@ def translines_switched_ends():
         volumes_per_line=2, n_time_steps=16, t_end=4.0, tau_min=0.5,
     )
     return so.build_translines(config)
+
+
+def _record_bytes(record):
+    """The bytes of every array of a (states, stages) sweep record, in order."""
+    states, stages = record
+    return [states.tobytes()] + [
+        a.tobytes() for stage_states, fields in stages for a in (*stage_states, *fields)
+    ]
+
+
+def _conftest_case(name):
+    """(system, grid) of the conftest systems, covering both integrators
+    with and without controls."""
+    if name == "blowup":
+        return make_blowup_system(), so.TimeGrid(0.0, 0.5, 20)
+    if name == "blowup_controlled":
+        return make_blowup_system(controlled=True), so.TimeGrid(0.0, 0.5, 20)
+    integrator = EULER if name.endswith("euler") else RK4
+    controls = 1 if "controlled" in name else 0
+    system = make_zero_system(n_modes=4, state_dim=2, control_dim=controls)
+    return dataclasses.replace(system, integrator=integrator), so.TimeGrid(0.0, 1.0, 12)
+
+
+class TestProductForms:
+    """``_forward_sweep`` and ``_adjoint_values`` form their products with
+    ``np.dot``; on the contiguous hook outputs they are bitwise the
+    ``np.matmul`` and ``J.T @ sb`` forms of the reference sweeps."""
+
+    @pytest.fixture(params=[
+        "fuller_100", "translines_coarse", "translines_switched_ends", "blowup",
+        "blowup_controlled", "zero", "zero_controlled_euler", "zero_euler",
+    ])
+    def case(self, request):
+        if request.param.startswith(("fuller", "translines")):
+            system, grid, _ = request.getfixturevalue(request.param)
+        else:
+            system, grid = _conftest_case(request.param)
+        rng = np.random.default_rng(29)
+        n, m = grid.n_intervals, system.modes.n_modes
+        u = rng.uniform(system.control_lower, system.control_upper,
+                        (n, system.control_dim))
+        w = rng.dirichlet(np.full(m, 0.5), size=n)
+        return system, grid, u, w, rng.random(w.shape)
+
+    def test_forward_sweep_bitwise(self, case):
+        system, grid, u, w, _ = case
+        got = simulate._forward_sweep(system, grid, u, w)
+        assert _record_bytes(got) == _record_bytes(reference_forward_sweep(system, grid, u, w))
+
+    def test_adjoint_bitwise(self, case):
+        system, grid, u, w, pen = case
+        value, gu, gw = _adjoint_values(system, grid, u, w, pen)
+        value_r, gu_r, gw_r = reference_adjoint_values(system, grid, u, w, pen)
+        assert np.float64(value).tobytes() == np.float64(value_r).tobytes()
+        assert gu.shape == gu_r.shape and gu.tobytes() == gu_r.tobytes()
+        assert gw.shape == gw_r.shape and gw.tobytes() == gw_r.tobytes()
+
+    def test_divergence_at_the_same_interval(self):
+        # y' = y^2 from 1 blows up at t = 1, inside this horizon.
+        system, grid = make_blowup_system(), so.TimeGrid(0.0, 2.0, 20)
+        u, w = np.zeros((20, 0)), np.tile([0.25, 0.75], (20, 1))
+        errors = []
+        for sweep in (simulate._forward_sweep, reference_forward_sweep):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(DivergenceError) as err:
+                sweep(system, grid, u, w)
+            errors.append(err.value.interval)
+        assert errors[0] == errors[1] > 0
 
 
 class TestSystemContract:

@@ -29,6 +29,10 @@ Covered outputs:
 * a modewise ``dwell_project_weighted`` instance (4 modes, N=200, d=4,
   budget 2048) whose automaton has 65,568 states, more than an int16
   predecessor table can index, and whose path reaches states past 32,767.
+* the raw ``integrate`` states and ``adjoint_gradient`` arrays at one seeded
+  fractional point (Dirichlet multipliers, uniform controls) on Fuller N=100
+  and the 52-step translines instance, a direct witness of the sweeps'
+  products.
 
 Lines are only ever appended, so two checkouts of different ages can be
 compared on the lines both print.
@@ -160,6 +164,7 @@ def _library_lines():
     yield from _budgeted_oracle_lines()
     yield _budgeted_ciap_line()
     yield _wide_dwell_line()
+    yield from _sweep_lines()
 
 
 def _result_digest(res) -> str:
@@ -229,6 +234,26 @@ def _wide_dwell_line():
     out = switchopt.dwell_project_weighted(w, switchopt.enumerate_modes(2), spec, grid)
     return ("dwell_project_weighted 2 switches N=200 d=4 budget=2048 modewise",
             _digest(out.values.tobytes()))
+
+
+def _sweep_lines():
+    fuller = switchopt.build_fuller(switchopt.FullerConfig(tau_min=0.05, n_intervals=100))
+    translines = switchopt.build_translines(
+        switchopt.translines_subgrid_config(volumes_per_line=2, n_time_steps=52))
+    for name, (system, grid, _) in (("fuller N=100", fuller), ("translines N=52", translines)):
+        rng = np.random.default_rng(24)
+        n = grid.n_intervals
+        u = switchopt.ContinuousControlPath(
+            grid, rng.uniform(system.control_lower, system.control_upper,
+                              (n, system.control_dim)),
+            system.control_lower, system.control_upper)
+        w = switchopt.RelaxedControlPath(
+            grid, rng.dirichlet(np.full(system.modes.n_modes, 0.5), size=n))
+        v_tilde = switchopt.BinaryControlPath.constant(grid, system.modes.values[0])
+        states = switchopt.integrate(system, grid, u, w).states
+        grad_u, grad_w = switchopt.adjoint_gradient(system, grid, u, w, v_tilde, 0.3)
+        yield (f"integrate and adjoint_gradient {name} fractional point",
+               _digest(states.tobytes(), grad_u.tobytes(), grad_w.tobytes()))
 
 
 def _small_controlled_translines():

@@ -287,6 +287,27 @@ def relative_gradient_error(got, want):
     return float(np.abs(got - want).max()) / scale if want.size else 0.0
 
 
+#: Systems the sweeps are checked on against their references: Fuller (RK4),
+#: two translines networks (Euler, controls) and the conftest systems, which
+#: add RK4 with a control and Euler without one.
+SWEEP_CASES = ["fuller_50", "translines_coarse", "translines_switched_ends", "blowup",
+               "blowup_controlled", "zero", "zero_controlled_euler", "zero_euler"]
+
+
+def sweep_case(request, name):
+    """(system, grid) of a ``SWEEP_CASES`` entry."""
+    if name.startswith(("fuller", "translines")):
+        system, grid, _ = request.getfixturevalue(name)
+        return system, grid
+    if name.startswith("blowup"):
+        # y' = s y^2 from 1 stays finite up to t = 1.
+        system = make_blowup_system(controlled=name == "blowup_controlled")
+        return system, so.TimeGrid(0.0, 0.5, 20)
+    integrator = EULER if name.endswith("euler") else RK4
+    system = make_zero_system(n_modes=4, state_dim=2, control_dim=int("controlled" in name))
+    return dataclasses.replace(system, integrator=integrator), so.TimeGrid(0.0, 1.0, 12)
+
+
 class TestAdjointGradient:
     def test_zero_system_zero_gradient(self):
         system = make_zero_system(state_dim=2, control_dim=1)
@@ -325,13 +346,9 @@ class TestAdjointGradient:
 
     @pytest.mark.parametrize("rows", ["onehot", "dirichlet"])
     @pytest.mark.parametrize("penalized", [False, True])
-    @pytest.mark.parametrize("name", ["fuller_50", "translines_coarse", "blowup_controlled"])
+    @pytest.mark.parametrize("name", SWEEP_CASES)
     def test_matches_reference_contraction_loop(self, request, name, rows, penalized):
-        if name == "blowup_controlled":
-            # RK4 with a control; y' = u y^2 from 1 stays finite up to t = 1.
-            system, grid = make_blowup_system(controlled=True), so.TimeGrid(0.0, 0.5, 20)
-        else:
-            system, grid, _ = request.getfixturevalue(name)
+        system, grid = sweep_case(request, name)
         rng = np.random.default_rng(73)
         n, m = grid.n_intervals, system.modes.n_modes
         u = rng.uniform(system.control_lower, system.control_upper,
@@ -493,55 +510,24 @@ def _record_bytes(record):
     ]
 
 
-def _conftest_case(name):
-    """(system, grid) of the conftest systems, covering both integrators
-    with and without controls."""
-    if name == "blowup":
-        return make_blowup_system(), so.TimeGrid(0.0, 0.5, 20)
-    if name == "blowup_controlled":
-        return make_blowup_system(controlled=True), so.TimeGrid(0.0, 0.5, 20)
-    integrator = EULER if name.endswith("euler") else RK4
-    controls = 1 if "controlled" in name else 0
-    system = make_zero_system(n_modes=4, state_dim=2, control_dim=controls)
-    return dataclasses.replace(system, integrator=integrator), so.TimeGrid(0.0, 1.0, 12)
-
-
 class TestProductForms:
-    """``_forward_sweep`` and ``_adjoint_values`` form their products with
-    ``np.dot``; on the contiguous hook outputs they are bitwise the
-    ``np.matmul`` and ``J.T @ sb`` forms of the reference sweeps."""
+    """``_forward_sweep`` forms its products with ``np.dot``; on the
+    contiguous hook outputs it is bitwise the ``np.matmul`` form of the
+    reference sweep (``test_matches_reference_contraction_loop`` checks the
+    adjoint's ``np.dot(sb, J)`` against ``J.T @ sb`` the same way)."""
 
-    @pytest.fixture(params=[
-        "fuller_100", "translines_coarse", "translines_switched_ends", "blowup",
-        "blowup_controlled", "zero", "zero_controlled_euler", "zero_euler",
-    ])
-    def case(self, request):
-        if request.param.startswith(("fuller", "translines")):
-            system, grid, _ = request.getfixturevalue(request.param)
-        else:
-            system, grid = _conftest_case(request.param)
+    @pytest.mark.parametrize("name", SWEEP_CASES)
+    def test_forward_sweep_bitwise(self, request, name):
+        system, grid = sweep_case(request, name)
         rng = np.random.default_rng(29)
-        n, m = grid.n_intervals, system.modes.n_modes
         u = rng.uniform(system.control_lower, system.control_upper,
-                        (n, system.control_dim))
-        w = rng.dirichlet(np.full(m, 0.5), size=n)
-        return system, grid, u, w, rng.random(w.shape)
-
-    def test_forward_sweep_bitwise(self, case):
-        system, grid, u, w, _ = case
+                        (grid.n_intervals, system.control_dim))
+        w = rng.dirichlet(np.full(system.modes.n_modes, 0.5), size=grid.n_intervals)
         got = simulate._forward_sweep(system, grid, u, w)
         assert _record_bytes(got) == _record_bytes(reference_forward_sweep(system, grid, u, w))
 
-    def test_adjoint_bitwise(self, case):
-        system, grid, u, w, pen = case
-        value, gu, gw = _adjoint_values(system, grid, u, w, pen)
-        value_r, gu_r, gw_r = reference_adjoint_values(system, grid, u, w, pen)
-        assert np.float64(value).tobytes() == np.float64(value_r).tobytes()
-        assert gu.shape == gu_r.shape and gu.tobytes() == gu_r.tobytes()
-        assert gw.shape == gw_r.shape and gw.tobytes() == gw_r.tobytes()
-
     def test_divergence_at_the_same_interval(self):
-        # y' = y^2 from 1 blows up at t = 1, inside this horizon.
+        # This mix gives y' = 0.75 y^2 from 1, which blows up at t = 4/3.
         system, grid = make_blowup_system(), so.TimeGrid(0.0, 2.0, 20)
         u, w = np.zeros((20, 0)), np.tile([0.25, 0.75], (20, 1))
         errors = []
